@@ -19,9 +19,8 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Version of the results-JSON envelope.  Bump when the meaning or
-#: layout of the stamped fields changes, so trajectory tooling (and
-#: the ``BENCH_kernel.json`` staleness gate) can refuse to compare
-#: incomparable documents.
+#: layout of the stamped fields changes, so trajectory tooling can
+#: refuse to compare incomparable documents.
 RESULTS_SCHEMA_VERSION = 1
 
 
@@ -65,7 +64,7 @@ def emit_json(name: str, payload: Dict[str, Any],
     measured run is unchanged.  Every document is stamped with the
     results schema version and the git SHA it was produced at, so perf
     trajectories are comparable across PRs.  ``path`` overrides the
-    destination (``BENCH_kernel.json`` lives at the repo root).
+    destination.
     """
     doc = {"benchmark": name,
            "schema_version": RESULTS_SCHEMA_VERSION,

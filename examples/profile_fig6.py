@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Profile the canonical fig6 run and export a Perfetto trace.
 
-Boots a cluster with the profiler enabled (the same
-``profile=True`` / ``MALACOLOGY_PROFILE=1`` opt-in the benchmarks
-use), runs the fig6 sequencer-contention workload plus a couple of
+Boots a cluster with the profiler enabled (``profile=True``), runs
+the fig6 sequencer-contention workload plus a couple of
 traced appends, then shows all three profiling planes:
 
 * ``profile.status`` — kernel event counts, queue/ready high-water

@@ -19,7 +19,6 @@ from repro.analysis.sanitizers import (
     ProtocolViolation,
     SanitizerRegistry,
     install_sanitizers,
-    sanitizers_of,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "ProtocolViolation",
     "SanitizerRegistry",
     "install_sanitizers",
-    "sanitizers_of",
 ]

@@ -76,7 +76,7 @@ class SanitizerRegistry:
         ctx = getattr(daemon, "trace_context", None)
         if ctx is not None:
             trace_id = ctx.trace_id
-            collector = getattr(self.sim, "trace_collector", None)
+            collector = self.sim.trace_collector
             if collector is not None:
                 rendered = collector.render(trace_id)
         violation = ProtocolViolation(
@@ -297,15 +297,9 @@ class MigrationSanitizer:
 # ----------------------------------------------------------------------
 def install_sanitizers(sim: Any) -> SanitizerRegistry:
     """Attach a registry to ``sim`` (idempotent)."""
-    existing = getattr(sim, "sanitizers", None)
-    if existing is not None:
-        return existing
+    if sim.sanitizers is not None:
+        return sim.sanitizers
     registry = SanitizerRegistry(sim)
     sim.sanitizers = registry
     ACTIVE.append(registry)
     return registry
-
-
-def sanitizers_of(sim: Any) -> Optional[SanitizerRegistry]:
-    """The registry attached to ``sim``, or None when not sanitizing."""
-    return getattr(sim, "sanitizers", None)

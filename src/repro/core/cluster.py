@@ -93,7 +93,7 @@ class MalacologyCluster:
               mon_backing: str = "ram", mgr: bool = False,
               mgr_interval: float = 2.0, changelog: bool = False,
               sanitize: Optional[bool] = None,
-              profile: Optional[bool] = None) -> "MalacologyCluster":
+              profile: bool = False) -> "MalacologyCluster":
         sim = Simulator(seed=seed)
         # sanitize=True opts this cluster into the runtime protocol
         # sanitizers; False forces them off even when the
@@ -104,17 +104,13 @@ class MalacologyCluster:
             install_sanitizers(sim)
         elif sanitize is False:
             sim.sanitizers = None
-        # profile follows the same tri-state contract, mirroring the
-        # MALACOLOGY_PROFILE env opt-in.  The profiler planes are
-        # passive (counter bumps and wall-clock reads only), so a
-        # profiled cluster's event schedule is byte-identical to an
-        # unprofiled one — pinned by an integration test.
+        # The profiler planes are passive (counter bumps and wall-clock
+        # reads only), so a profiled cluster's event schedule is
+        # byte-identical to an unprofiled one — pinned by an
+        # integration test.
         if profile:
             from repro.profiling import install_profiler
             install_profiler(sim)
-        elif profile is False:
-            from repro.profiling import uninstall_profiler
-            uninstall_profiler(sim)
         net = Network(sim, latency=latency or lan_latency())
         mon_names = [f"mon{i}" for i in range(mons)]
         monitors = [
@@ -356,7 +352,7 @@ class MalacologyCluster:
         Runs the end-of-run liveness checks first; returns ``[]`` when
         sanitizers are off or nothing was violated.
         """
-        registry = getattr(self.sim, "sanitizers", None)
+        registry = self.sim.sanitizers
         if registry is None:
             return []
         registry.finish()

@@ -189,6 +189,3 @@ class Locker:
         """Forget all cap state for an inode (it migrated away)."""
         self._caps.pop(ino, None)
         self._waiters.pop(ino, None)
-
-    def export_waiters(self, ino: int) -> List[str]:
-        return list(self._waiters.get(ino, []))

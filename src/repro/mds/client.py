@@ -357,7 +357,3 @@ class FsClient(MonitorClient):
             fut = self._releasing.pop(path, None)
             if fut is not None:
                 fut.resolve_if_pending(None)
-
-    def drop_all_caps(self: Any) -> None:
-        """Forget caps without releasing (used to model client death)."""
-        self._caps.clear()

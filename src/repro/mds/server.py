@@ -344,7 +344,7 @@ class MDS(Daemon, RadosClient):
         self.tracker.record_request(self.sim.now, path, self.COST_MUTATE)
         inode = self.ns.remove(path)
         self.locker.drop_ino(inode.ino)
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             san.caps.on_drop(inode.ino, daemon=self)
         self.tracker.forget_inode(path)
@@ -498,7 +498,7 @@ class MDS(Daemon, RadosClient):
             return
         # Queue like any other client so the revoke machinery fires.
         inode = self.ns.get(path)
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         server_cap = self.locker.try_grant(ino, "__server__",
                                            self.sim.now,
                                            self._policy_for(inode))
@@ -537,7 +537,7 @@ class MDS(Daemon, RadosClient):
         cap = self.locker.try_grant(inode.ino, src, self.sim.now, policy)
         if cap is not None:
             self.perf.incr("cap.grant")
-            san = getattr(self.sim, "sanitizers", None)
+            san = self.sim.sanitizers
             if san is not None:
                 san.caps.on_grant(self.name, inode.ino, src, cap.seq,
                                   daemon=self)
@@ -572,7 +572,7 @@ class MDS(Daemon, RadosClient):
         inode = self.ns.get(path)
         if self.locker.release(ino, src, args["seq"]):
             self.perf.incr("cap.release")
-            san = getattr(self.sim, "sanitizers", None)
+            san = self.sim.sanitizers
             if san is not None:
                 san.caps.on_release(self.name, ino, src, daemon=self)
             inode.merge_flush(args.get("dirty", {}))
@@ -585,7 +585,7 @@ class MDS(Daemon, RadosClient):
             return
         self.locker.mark_revoking(ino)
         self.perf.incr("cap.revoke")
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             san.caps.on_revoke_start(self.name, ino, daemon=self)
         self.cast(cap.client, "cap_revoke", {"ino": ino, "seq": cap.seq})
@@ -606,7 +606,7 @@ class MDS(Daemon, RadosClient):
         if cap is None or cap.client != client or cap.seq != seq:
             return  # released in time
         self.locker.release(ino, client, seq)
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             san.caps.on_release(self.name, ino, client, daemon=self)
         self._grant_next(ino)
@@ -628,7 +628,7 @@ class MDS(Daemon, RadosClient):
         if cap is None:
             return
         self.perf.incr("cap.grant")
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             san.caps.on_grant(self.name, ino, waiter, cap.seq,
                               daemon=self)
@@ -687,7 +687,7 @@ class MDS(Daemon, RadosClient):
         if any(under(path, p) or under(p, path) for p in self._frozen):
             return
         self._frozen.add(path)
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             san.migration.on_export_begin(path, self.rank, target_rank,
                                           daemon=self)
@@ -737,12 +737,12 @@ class MDS(Daemon, RadosClient):
             for fut in self._grant_waiters.pop(inode.ino, {}).values():
                 fut.fail_if_pending(TryAgain(f"{path} migrating"))
             self.locker.drop_ino(inode.ino)
-            san = getattr(self.sim, "sanitizers", None)
+            san = self.sim.sanitizers
             if san is not None:
                 san.caps.on_drop(inode.ino, daemon=self)
 
     def _h_import(self, src: str, payload: Dict[str, Any]) -> bool:
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             san.migration.on_import(payload["path"], self.rank,
                                     daemon=self)
@@ -769,7 +769,7 @@ class MDS(Daemon, RadosClient):
         self.locker = Locker()
         self.tracker = LoadTracker()
         self._frozen = set()
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             # Every lease this MDS issued died with its Locker.
             san.on_daemon_reset(self.name)

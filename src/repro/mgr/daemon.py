@@ -15,9 +15,11 @@ Observing the cluster must not change it.  The mgr therefore:
   network, so its messages never draw from the shared ``network`` RNG
   stream — every other daemon sees exactly the latency sequence it
   would see in an unmanaged run;
-* writes to the cluster log **only on health-state transitions**, so a
-  healthy seeded run with the mgr enabled produces byte-identical
-  daemon schedules to one without it (an integration test pins this).
+* writes to the cluster log **only on health-state transitions**, so
+  while health is steady a seeded run with the mgr enabled produces
+  byte-identical daemon schedules to one without it (pinned by
+  ``tests/integration/test_observer_transparency.py``).  A transition
+  is a Paxos write: from then on the tapes differ.
 
 A daemon that crashes mid-scrape surfaces as a failed scrape entry and
 a ``DAEMON_UNREACHABLE`` health detail — never as a failed tick.
@@ -75,8 +77,8 @@ class MgrDaemon(Daemon, MonitorClient):
         self.scrape_interval = scrape_interval or self.SCRAPE_INTERVAL
         self.booted = False
 
-        # Volatile aggregation state (a mgr is a pure observer: all of
-        # this is reconstructible from future scrapes).
+        # Volatile aggregation state (the mgr owns no cluster state:
+        # all of this is reconstructible from future scrapes).
         self.series: Dict[str, DaemonSeries] = {}
         self.last_sample: Optional[ClusterSample] = None
         self.last_report: Optional[HealthReport] = None
@@ -137,7 +139,7 @@ class MgrDaemon(Daemon, MonitorClient):
         sample.mdsmap = self.cached_maps.get("mds")
         # Out-of-band reads (no messages): a fault-free managed run
         # stays schedule-identical whether or not these are captured.
-        engine = getattr(self.sim, "chaos", None)
+        engine = self.sim.chaos
         if engine is not None:
             sample.chaos = engine.status()
         sample.netstats = self.network.stats()
@@ -263,14 +265,14 @@ class MgrDaemon(Daemon, MonitorClient):
         the damage they cause.
         """
         dumps = dict(self._last_dumps)
-        profiler = getattr(self.sim, "profiler", None)
+        profiler = self.sim.profiler
         if profiler is not None:
             dumps["kernel"] = profiler.prometheus_dump()
         dumps["network"] = {
             "counters": {f"net.{key}": float(value)
                          for key, value in self.network.stats().items()},
         }
-        engine = getattr(self.sim, "chaos", None)
+        engine = self.sim.chaos
         if engine is not None:
             status = engine.status()
             dumps["chaos"] = {

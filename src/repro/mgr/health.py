@@ -603,7 +603,7 @@ def sample_cluster(cluster: Any,
             best_mds = mdsmap
     sample.osdmap = best_osd
     sample.mdsmap = best_mds
-    engine = getattr(cluster.sim, "chaos", None)
+    engine = cluster.sim.chaos
     if engine is not None:
         sample.chaos = engine.status()
     sample.netstats = cluster.net.stats()

@@ -331,7 +331,7 @@ class Monitor(Daemon):
                 yield Timeout(self.store_sync)
             self.perf.incr("paxos.commit")
             self.perf.time("paxos.commit", self.sim.now - proposed_at)
-            san = getattr(self.sim, "sanitizers", None)
+            san = self.sim.sanitizers
             if san is not None:
                 san.paxos.on_learn(self.name, instance, value,
                                    daemon=self)
@@ -362,7 +362,7 @@ class Monitor(Daemon):
         return ok
 
     def _h_commit(self, src: str, payload: Dict[str, Any]) -> None:
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             san.paxos.on_learn(self.name, payload["instance"],
                                payload["value"], daemon=self)
@@ -389,7 +389,7 @@ class Monitor(Daemon):
             self.store.restore(reply["snapshot"])
             self.chosen.applied_through = reply["applied_through"]
             self.chosen.take_ready()
-            san = getattr(self.sim, "sanitizers", None)
+            san = self.sim.sanitizers
             if san is not None:
                 # The restore jumps every map epoch at once; the
                 # monotone-epochs checker must see the new watermarks,
@@ -422,7 +422,7 @@ class Monitor(Daemon):
                     fut.resolve_if_pending(result)
             self.acceptor.forget_below(instance + 1)
         if changed_kinds:
-            san = getattr(self.sim, "sanitizers", None)
+            san = self.sim.sanitizers
             if san is not None:
                 for kind in sorted(changed_kinds):
                     san.paxos.on_epoch(self.name, kind,

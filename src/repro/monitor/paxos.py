@@ -146,9 +146,6 @@ class LeaderBook:
         self._acks[instance] = set()
         self._values[instance] = value
 
-    def value_of(self, instance: int) -> Any:
-        return self._values.get(instance)
-
     def record_ack(self, instance: int, who: str) -> bool:
         """Record one acceptor's ack; True when quorum first reached."""
         if instance not in self._acks:
@@ -162,6 +159,3 @@ class LeaderBook:
     def finish(self, instance: int) -> None:
         self._acks.pop(instance, None)
         self._values.pop(instance, None)
-
-    def pending_instances(self) -> List[int]:
-        return sorted(self._acks)

@@ -18,7 +18,7 @@ propagates loudly through the simulator.
 from __future__ import annotations
 
 import copy
-import inspect
+from types import GeneratorType
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import (
@@ -80,19 +80,6 @@ class Daemon:
             lambda: sum(1 for p in self._procs if not p.done))
         install_telemetry_commands(self)
         install_profile_commands(self)
-        profiler = sim.profiler
-        if profiler is not None:
-            # Profiled clusters surface per-daemon handler totals as
-            # telemetry gauges, which the mgr's scrapes then carry
-            # into the Prometheus export.  Gauges are evaluated only
-            # at dump time, so registration never touches the
-            # schedule.
-            self.perf.gauge_fn(
-                "profile.handler_events",
-                lambda: profiler.daemon_totals(self.name)["events"])
-            self.perf.gauge_fn(
-                "profile.handler_sim_time",
-                lambda: profiler.daemon_totals(self.name)["sim_time"])
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -234,13 +221,10 @@ class Daemon:
         handler = self._handlers.get(env.method)
         if handler is None:
             if env.kind == REQUEST:
-                self._reply_error(env, MalacologyError(
+                self._reply(env, error=MalacologyError(
                     f"{self.name}: no handler for {env.method!r}"))
             return
         self.perf.incr("rpc.rx")
-        profiler = self.sim.profiler
-        if profiler is not None:
-            profiler.on_handler(self.name, env.method)
         span = None
         ctx = None
         if env.trace is not None:
@@ -251,75 +235,41 @@ class Daemon:
             ctx = SpanContext(span.trace_id, span.span_id)
         started = self.sim.now
         try:
-            result = self._invoke_timed(handler, env, ctx)
+            result = self._invoke(handler, env, ctx)
         except MalacologyError as exc:
-            self._finish_rpc(env, span, started, error=exc)
-            if env.kind == REQUEST:
-                self._reply_error(env, exc)
+            self._complete(env, span, started, error=exc)
             return
-        if env.kind == CAST:
-            if inspect.isgenerator(result):
-                proc = self.spawn(result, name=f"{self.name}:{env.method}")
-                proc.completion.add_callback(
-                    lambda fut: self._finish_rpc(env, span, started,
-                                                 error=fut.error))
-            else:
-                self._finish_rpc(env, span, started)
-            return
-        if inspect.isgenerator(result):
-            proc = self.spawn(result, name=f"{self.name}:{env.method}")
-            # Finish the span before the reply goes out so the handler
-            # span never outlives the response that settles it.
-            proc.completion.add_callback(
-                lambda fut: self._finish_rpc(env, span, started,
-                                             error=fut.error))
-            proc.completion.add_callback(
-                lambda fut: self._reply_future(env, fut))
-        elif isinstance(result, Future):
-            result.add_callback(
-                lambda fut: self._finish_rpc(env, span, started,
-                                             error=fut.error))
-            result.add_callback(lambda fut: self._reply_future(env, fut))
+        if isinstance(result, GeneratorType):
+            result = self.spawn(
+                result, name=f"{self.name}:{env.method}").completion
+        if isinstance(result, Future):
+            result.add_callback(lambda fut: self._complete(
+                env, span, started,
+                None if fut.failed else fut.result(), fut.error))
         else:
-            self._finish_rpc(env, span, started)
-            self._reply_value(env, result)
-
-    def _invoke_timed(self, handler: Callable[[str, Any], Any],
-                      env: Envelope, ctx: Optional[SpanContext]) -> Any:
-        """Run :meth:`_invoke`, charging the synchronous portion to the
-        wall-clock profiler when one is installed.
-
-        Generator handlers only execute up to their first yield here;
-        later resumptions are attributed by the kernel dispatch loop
-        through the process's name, so the whole trampoline is covered
-        without double counting.
-        """
-        wall = self.sim.wall_profiler
-        if wall is None:
-            return self._invoke(handler, env, ctx)
-        token = wall.begin()
-        try:
-            return self._invoke(handler, env, ctx)
-        finally:
-            wall.end_handler(token, self.name, env.method)
+            self._complete(env, span, started, result)
 
     def _invoke(self, handler: Callable[[str, Any], Any], env: Envelope,
                 ctx: Optional[SpanContext]) -> Any:
-        """Run a handler with the trace context active.
+        """Run a handler's synchronous portion with ``ctx`` active.
 
-        The context is installed around the *synchronous* portion here,
-        and — for generator handlers — around every later resumption
-        via :meth:`_run_traced`, so outgoing call/cast between yields
-        inherit the right span even when many handlers interleave.
+        The daemon-side call site of the wall-clock plane, which is
+        charged what runs inline here.  A generator handler only gets
+        to its first yield; its later resumptions are charged by the
+        kernel dispatch step under the process's name and keep ``ctx``
+        through :meth:`_run_traced`, so outgoing call/cast between
+        yields inherit the right span even when handlers interleave.
         """
-        if ctx is None:
-            return handler(env.src, env.payload)
+        wall = self.sim.wall_profiler
+        token = wall.begin() if wall is not None else None
         prev, self._trace_ctx = self._trace_ctx, ctx
         try:
             result = handler(env.src, env.payload)
         finally:
             self._trace_ctx = prev
-        if inspect.isgenerator(result):
+            if wall is not None:
+                wall.end_handler(token, self.name, env.method)
+        if ctx is not None and isinstance(result, GeneratorType):
             result = self._run_traced(result, ctx)
         return result
 
@@ -381,39 +331,36 @@ class Daemon:
 
         return _root()
 
-    def _finish_rpc(self, env: Envelope, span: Any, started: float,
-                    error: Optional[BaseException] = None) -> None:
+    def _complete(self, env: Envelope, span: Any, started: float,
+                  value: Any = None,
+                  error: Optional[BaseException] = None) -> None:
+        """Finish one handled REQUEST or CAST, however it settled.
+
+        Handler activity has one home: the ``rpc.<method>`` latency
+        tracker (plus ``rpc.<method>.errors``) that health checks,
+        ``profile.dump`` and the Prometheus export all read.  The span
+        closes before the reply goes out, so a handler span never
+        outlives the response that settles it.
+        """
         self.perf.time(f"rpc.{env.method}", self.sim.now - started)
-        profiler = self.sim.profiler
-        if profiler is not None:
-            profiler.on_handler_done(self.name, env.method,
-                                     self.sim.now - started,
-                                     error=error is not None)
+        if error is not None:
+            self.perf.incr(f"rpc.{env.method}.errors")
         if span is not None:
             self.tracer.finish(span.span_id, error=error)
-
-    def _reply_future(self, env: Envelope, fut: Future) -> None:
         if not self.alive:
             return
-        if fut.failed:
-            err = fut.error
-            if isinstance(err, MalacologyError):
-                self._reply_error(env, err)
-            else:
-                # Programming error: surface it, don't mask as EIO.
-                raise err  # type: ignore[misc]
-        else:
-            self._reply_value(env, fut.result())
+        if error is not None and not isinstance(error, MalacologyError):
+            # Programming error: surface it, don't mask as EIO.
+            raise error
+        if env.kind == REQUEST:
+            self._reply(env, value, error)
 
-    def _reply_value(self, env: Envelope, value: Any) -> None:
-        self._post(Envelope(kind=RESPONSE, src=self.name, dst=env.src,
-                            method=env.method, msg_id=env.msg_id,
-                            payload=value))
-
-    def _reply_error(self, env: Envelope, exc: MalacologyError) -> None:
-        self._post(Envelope(kind=RESPONSE, src=self.name, dst=env.src,
-                            method=env.method, msg_id=env.msg_id,
-                            error=(exc.code, str(exc))))
+    def _reply(self, env: Envelope, value: Any = None,
+               error: Optional[MalacologyError] = None) -> None:
+        self._post(Envelope(
+            kind=RESPONSE, src=self.name, dst=env.src, method=env.method,
+            msg_id=env.msg_id, payload=value,
+            error=None if error is None else (error.code, str(error))))
 
     # ------------------------------------------------------------------
     # Processes and timers
@@ -447,7 +394,7 @@ class Daemon:
                 if self._tickers_paused:
                     continue
                 result = fn()
-                if inspect.isgenerator(result):
+                if isinstance(result, GeneratorType):
                     yield self.sim.spawn(result, name=f"{name}:tick")
 
         return self.spawn(_loop(), name=name or f"{self.name}:ticker")

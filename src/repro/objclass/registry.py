@@ -85,12 +85,6 @@ class ClassRegistry:
             for name, entry in self._classes.items()
         )
 
-    def methods_of(self, name: str) -> List[str]:
-        entry = self._classes.get(name)
-        if entry is None:
-            raise NotFound(f"no object class {name!r}")
-        return sorted(entry["methods"])
-
     # ------------------------------------------------------------------
     # Invocation
     # ------------------------------------------------------------------

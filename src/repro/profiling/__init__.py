@@ -4,10 +4,11 @@ Three planes, all built from the system's own interfaces (the
 Malacology discipline: instrumentation is a service grown from
 existing machinery, not a fork of it):
 
-* **simulation plane** — :class:`SimProfiler`: deterministic
-  per-daemon/per-handler event counts, simulated time consumed, queue
-  and ready-batch high-water marks.  Schedule-identity pinned: a
-  profiled run replays byte-identical to an unprofiled one.
+* **simulation plane** — :class:`SimProfiler`: deterministic kernel
+  event counts, queue and ready-batch high-water marks; ``profile.dump``
+  joins them with the per-handler counts and simulated time each
+  daemon's ``rpc.<method>`` telemetry already holds.  Schedule-identity
+  pinned: a profiled run replays byte-identical to an unprofiled one.
 * **host plane** — :class:`WallClockProfiler`: real nanoseconds and
   allocation-block deltas attributed across the heapq + generator
   trampoline (the hot path ROADMAP item 1 rewrites), with top-N
@@ -17,11 +18,9 @@ existing machinery, not a fork of it):
   the causal span trees plus the kernel tape as a Perfetto-loadable
   ``trace.json``.
 
-Enable with ``MalacologyCluster.build(profile=True)`` or
-``MALACOLOGY_PROFILE=1`` (mirroring ``sanitize`` /
-``MALACOLOGY_SANITIZE``); query anywhere via the ``profile.status`` /
-``profile.dump`` admin commands; Prometheus kernel gauges ride the
-mgr's ``metrics.export``.
+Enable with ``MalacologyCluster.build(profile=True)``; query anywhere
+via the ``profile.status`` / ``profile.dump`` admin commands;
+Prometheus kernel gauges ride the mgr's ``metrics.export``.
 """
 
 from repro.profiling.admin import (
@@ -37,11 +36,10 @@ from repro.profiling.hostclock import (
     peak_rss_bytes,
 )
 from repro.profiling.perfetto import chrome_trace, write_chrome_trace
-from repro.profiling.simprofiler import HandlerStat, SimProfiler
+from repro.profiling.simprofiler import SimProfiler
 from repro.profiling.wallprofiler import WallClockProfiler, WallStat
 
 __all__ = [
-    "HandlerStat",
     "PROFILE_COMMANDS",
     "SimProfiler",
     "WallClockProfiler",
@@ -55,7 +53,6 @@ __all__ = [
     "peak_rss_bytes",
     "profile_dump",
     "profile_status",
-    "uninstall_profiler",
     "write_chrome_trace",
 ]
 
@@ -67,16 +64,8 @@ def install_profiler(sim, wall: bool = True) -> SimProfiler:
     host plane for runs that only want deterministic counts.  Returns
     the :class:`SimProfiler` (reused if one is already attached).
     """
-    profiler = getattr(sim, "profiler", None)
-    if profiler is None:
-        profiler = SimProfiler(sim)
-        sim.profiler = profiler
-    if wall and getattr(sim, "wall_profiler", None) is None:
+    if sim.profiler is None:
+        sim.profiler = SimProfiler(sim)
+    if wall and sim.wall_profiler is None:
         sim.wall_profiler = WallClockProfiler(sim)
-    return profiler
-
-
-def uninstall_profiler(sim) -> None:
-    """Detach both planes (the ``profile=False`` override)."""
-    sim.profiler = None
-    sim.wall_profiler = None
+    return sim.profiler

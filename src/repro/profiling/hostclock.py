@@ -47,7 +47,7 @@ def peak_rss_bytes() -> int:
     """Peak resident set size of this process, in bytes.
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalize
-    to bytes so ``BENCH_kernel.json`` is comparable across hosts.
+    to bytes so ``bench/`` results are comparable across hosts.
     """
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":

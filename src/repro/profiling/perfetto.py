@@ -42,7 +42,7 @@ def chrome_trace(sim: Any) -> Dict[str, Any]:
             pid = pids[daemon] = len(pids) + 1  # 0 is the kernel
         return pid
 
-    collector = getattr(sim, "trace_collector", None)
+    collector = sim.trace_collector
     open_spans = 0
     if collector is not None:
         for trace_id in collector.trace_ids():
@@ -69,7 +69,7 @@ def chrome_trace(sim: Any) -> Dict[str, Any]:
                     "args": args,
                 })
 
-    profiler = getattr(sim, "profiler", None)
+    profiler = sim.profiler
     if profiler is not None:
         for when, depth in profiler.queue_samples:
             events.append({

@@ -488,7 +488,7 @@ class OSD(Daemon, MonitorClient):
         results, new_obj, removed = apply_ops(
             obj, oid, ops, self.registry,
             epoch=payload.get("epoch"), now=self.sim.now)
-        san = getattr(self.sim, "sanitizers", None)
+        san = self.sim.sanitizers
         if san is not None:
             # The transaction was *accepted*; the epoch-fencing
             # sanitizer checks no stale-epoch zlog op slipped through.

@@ -166,9 +166,6 @@ class Simulator:
         if os.environ.get("MALACOLOGY_SANITIZE"):
             from repro.analysis.sanitizers import install_sanitizers
             install_sanitizers(self)
-        if os.environ.get("MALACOLOGY_PROFILE"):
-            from repro.profiling import install_profiler
-            install_profiler(self)
 
     # ------------------------------------------------------------------
     # Clock and randomness
@@ -229,32 +226,15 @@ class Simulator:
         earlier, so back-to-back ``run`` calls compose predictably.
         """
         self._stopped = False
-        profiler = self.profiler
-        wall = self.wall_profiler
-        while self._queue and not self._stopped:
-            when, _, call = self._queue[0]
-            if until is not None and when > until:
+        queue = self._queue
+        while queue and not self._stopped:
+            if until is not None and queue[0][0] > until:
                 break
-            heapq.heappop(self._queue)
-            if call.cancelled:
-                if profiler is not None:
-                    profiler.on_cancelled()
-                continue
-            self._now = when
-            if profiler is not None:
-                profiler.on_event(when, len(self._queue))
-            if wall is None:
-                call.fn(*call.args)
-            else:
-                token = wall.begin()
-                try:
-                    call.fn(*call.args)
-                finally:
-                    wall.end_dispatch(token, call)
-            self._raise_pending_failures()
+            self._dispatch_next()
         if until is not None and self._now < until:
             self._now = until
-        self._raise_pending_failures()
+        if self._failures:
+            self._raise_pending_failures()
         return self._now
 
     def run_until_complete(self, proc_or_future: Any,
@@ -271,8 +251,6 @@ class Simulator:
         if not isinstance(fut, Future):
             raise TypeError("expected a Process or Future")
         fut.had_waiters = True  # we are the waiter; errors reach us
-        profiler = self.profiler
-        wall = self.wall_profiler
         while not fut.done:
             if not self._queue:
                 raise RuntimeError(
@@ -280,24 +258,37 @@ class Simulator:
                     "(deadlock)")
             if self._now > limit:
                 raise RuntimeError(f"exceeded simulated time limit {limit}")
-            when, _, call = heapq.heappop(self._queue)
-            if call.cancelled:
-                if profiler is not None:
-                    profiler.on_cancelled()
-                continue
-            self._now = when
-            if profiler is not None:
-                profiler.on_event(when, len(self._queue))
-            if wall is None:
-                call.fn(*call.args)
-            else:
-                token = wall.begin()
-                try:
-                    call.fn(*call.args)
-                finally:
-                    wall.end_dispatch(token, call)
-            self._raise_pending_failures()
+            self._dispatch_next()
         return fut.result()
+
+    def _dispatch_next(self) -> None:
+        """Pop the earliest event and run it.
+
+        The one dispatch step both run loops share, and the kernel's
+        single observer call site: ``profiler`` counts the event,
+        ``wall_profiler`` brackets the callback.  Orphaned process
+        failures surface right after the event that caused them.
+        """
+        when, _, call = heapq.heappop(self._queue)
+        profiler = self.profiler
+        if call.cancelled:
+            if profiler is not None:
+                profiler.on_cancelled()
+            return
+        self._now = when
+        if profiler is not None:
+            profiler.on_event(when, len(self._queue))
+        wall = self.wall_profiler
+        if wall is None:
+            call.fn(*call.args)
+        else:
+            token = wall.begin()
+            try:
+                call.fn(*call.args)
+            finally:
+                wall.end_dispatch(token, call)
+        if self._failures:
+            self._raise_pending_failures()
 
     # ------------------------------------------------------------------
     # Failure bookkeeping
@@ -308,8 +299,6 @@ class Simulator:
         self._failures.append((proc.name, exc, proc.completion))
 
     def _raise_pending_failures(self) -> None:
-        if not self._failures:
-            return
         still_orphaned = []
         for name, exc, fut in self._failures:
             if fut.had_waiters:  # the error was delivered to a waiter

@@ -163,9 +163,6 @@ class Network:
             raise ValueError(f"endpoint {endpoint.name!r} already registered")
         self._endpoints[endpoint.name] = endpoint
 
-    def unregister(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-
     def knows(self, name: str) -> bool:
         return name in self._endpoints
 
@@ -186,8 +183,9 @@ class Network:
         else:
             self._latency_overrides[name] = model
 
-    def endpoints(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._endpoints))
+    def endpoints(self) -> Tuple[Endpoint, ...]:
+        """Every registered endpoint, in name order."""
+        return tuple(ep for _, ep in sorted(self._endpoints.items()))
 
     # ------------------------------------------------------------------
     # Partitions

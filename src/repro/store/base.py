@@ -45,7 +45,7 @@ runs only from the OSD's jitter-free store ticker.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidArgument
 from repro.rados.objects import StoredObject
@@ -190,8 +190,3 @@ def normalize_cache(cache: Any) -> Dict[str, Any]:
         raise InvalidArgument(
             f"cache promote_reads must be >= 1: {promote_reads}")
     return {"capacity": capacity, "promote_reads": promote_reads}
-
-
-def _iter_sorted(mapping: Dict[str, Any]) -> Iterator[str]:
-    """Sorted key iterator (shared by the ordered backends)."""
-    return iter(sorted(mapping))

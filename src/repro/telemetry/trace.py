@@ -108,11 +108,9 @@ class TraceCollector:
     @classmethod
     def of(cls, sim: Any) -> "TraceCollector":
         """The simulator's collector, created and attached on demand."""
-        collector = getattr(sim, "trace_collector", None)
-        if collector is None:
-            collector = cls(sim)
-            sim.trace_collector = collector
-        return collector
+        if sim.trace_collector is None:
+            sim.trace_collector = cls(sim)
+        return sim.trace_collector
 
     # ------------------------------------------------------------------
     # Span lifecycle

@@ -140,3 +140,26 @@ def run_script(sim: Simulator, client: ScriptClient,
     """Spawn ``gen`` on ``client`` and drive the sim to its completion."""
     proc = client.do(gen)
     return sim.run_until_complete(proc, limit=limit)
+
+
+def record_sends(net: Network, ignore: Tuple[str, ...] = ()) -> List[tuple]:
+    """Tape every ``net.send`` from now on; returns the live tape.
+
+    Entries are ``(sim time, src, dst, method or kind)``: two runs of
+    one seed followed the same schedule iff their tapes are equal,
+    which is how observer planes are shown to be transparent.  Traffic
+    to or from endpoints named with an ``ignore`` prefix (an observer's
+    own daemons) stays off the tape.
+    """
+    tape: List[tuple] = []
+    send = net.send
+
+    def spy(src: str, dst: str, msg: Any) -> None:
+        if not (src.startswith(ignore) or dst.startswith(ignore)):
+            tape.append((net.sim.now, src, dst,
+                         getattr(msg, "method", None)
+                         or getattr(msg, "kind", None)))
+        send(src, dst, msg)
+
+    net.send = spy
+    return tape

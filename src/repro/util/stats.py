@@ -190,9 +190,6 @@ class Histogram:
     def total(self) -> int:
         return sum(self.counts)
 
-    def bucket_edges(self) -> List[float]:
-        return [self.lo + i * self._width for i in range(len(self.counts) + 1)]
-
 
 class ThroughputSeries:
     """Bins completion events into fixed windows of simulated time.
@@ -218,10 +215,6 @@ class ThroughputSeries:
     @property
     def total(self) -> int:
         return sum(self._bins.values())
-
-    def rate_at(self, t: float) -> float:
-        """Ops/second in the window containing ``t``."""
-        return self._bins.get(int(t // self.window), 0) / self.window
 
     def series(self) -> List[Tuple[float, float]]:
         """(window start time, ops/sec) pairs covering the full span."""

@@ -3,8 +3,8 @@
 Every test injects a fault underneath the protocol layer (forged
 message, corrupted bookkeeping, sabotaged epoch guard) and asserts the
 named sanitizer fires with the causal RPC trace attached.  A final
-pair of tests pins the TSan-style contract: observation never changes
-the schedule, and clean runs report nothing.
+test pins the other half of the TSan-style contract: clean runs report
+nothing.
 """
 
 from types import SimpleNamespace
@@ -194,21 +194,11 @@ def test_migration_sanitizer_catches_overlapping_exports():
 
 
 # ----------------------------------------------------------------------
-# The TSan contract: observation changes nothing, clean runs are clean
+# The TSan contract: clean runs are clean (that observation changes
+# nothing is pinned in tests/integration/test_observer_transparency.py)
 # ----------------------------------------------------------------------
-def _schedule_tape(sanitize):
-    c = MalacologyCluster.build(osds=2, mdss=1, mons=3, seed=46,
-                                sanitize=sanitize)
-    tape = []
-    orig = c.net.send
-
-    def spy(src, dst, msg):
-        tape.append((c.sim.now, src, dst,
-                     getattr(msg, "method", None)
-                     or getattr(msg, "kind", None)))
-        return orig(src, dst, msg)
-
-    c.net.send = spy
+def test_clean_run_reports_zero_violations():
+    c = build(46)
     client = c.new_client("load")
 
     def work():
@@ -221,20 +211,6 @@ def _schedule_tape(sanitize):
 
     c.sim.run_until_complete(client.do(work()))
     c.run(10.0)
-    return c, tape
-
-
-def test_sanitizers_do_not_perturb_schedules():
-    c_off, tape_off = _schedule_tape(sanitize=False)
-    c_on, tape_on = _schedule_tape(sanitize=True)
-    assert len(tape_off) > 100  # the workload exercised the network
-    assert tape_on == tape_off  # byte-identical schedules
-    assert c_off.sim.sanitizers is None
-    assert c_on.sim.sanitizers is not None
-
-
-def test_clean_run_reports_zero_violations():
-    c, _ = _schedule_tape(sanitize=True)
     assert c.sanitizer_report() == []
     # The clean run still *observed* the protocols.
     assert c.sim.sanitizers.paxos._chosen

@@ -5,7 +5,8 @@ Three guarantees pin the whole subsystem:
 1. **Schedule transparency** — arming the engine with an empty
    schedule (store fault plane installed, injector attached, nothing
    firing) leaves the cluster's network tape byte-identical to a run
-   that never saw the engine.  Chaos must be pay-for-what-you-inject.
+   that never saw the engine.  Chaos must be pay-for-what-you-inject
+   (pinned with the other planes in ``test_observer_transparency.py``).
 2. **Clean sweeps** — the shipped scenarios pass their oracles on
    representative seeds: faults are injected and fully healed.
 3. **Oracle sensitivity** — sabotaging a real guard (the changelog
@@ -15,69 +16,17 @@ Three guarantees pin the whole subsystem:
    a planted bug proves nothing about the bugs it fails to find.
 """
 
-import hashlib
 import json
 
 import pytest
 
 from repro.chaos import (
-    NemesisEngine,
     NemesisSchedule,
     minimize_case,
     run_case,
     write_repro_artifact,
 )
-from repro.core import MalacologyCluster
 from repro.objclass.bundled import cls_changelog
-
-
-# ----------------------------------------------------------------------
-# Schedule transparency: armed-but-empty == never-attached
-# ----------------------------------------------------------------------
-def _taped_run(with_engine):
-    """Run a fixed workload; return the full network tape digest."""
-    c = MalacologyCluster.build(osds=3, mons=3, seed=1234)
-    tape = []
-    orig = c.net.send
-
-    def spy(src, dst, msg):
-        tape.append((round(c.sim.now, 9), src, dst,
-                     getattr(msg, "method", None)
-                     or getattr(msg, "kind", None)))
-        return orig(src, dst, msg)
-
-    c.net.send = spy
-    engine = None
-    if with_engine:
-        engine = NemesisEngine(c)
-        engine.arm(NemesisSchedule(name="empty", duration=5.0))
-    client = c.new_client("load")
-
-    def work():
-        for i in range(8):
-            yield from client.rados_write_full("data", f"obj{i}",
-                                               bytes([i]) * 32)
-        for i in range(8):
-            got = yield from client.rados_read("data", f"obj{i}")
-            assert got == bytes([i]) * 32
-
-    c.sim.run_until_complete(client.do(work()))
-    c.run(10.0)
-    if engine is not None:
-        engine.finalize()
-        c.run(2.0)
-    else:
-        c.run(2.0)
-    h = hashlib.sha256()
-    for entry in tape:
-        h.update(repr(entry).encode())
-    return len(tape), h.hexdigest()
-
-
-def test_armed_empty_schedule_is_schedule_transparent():
-    bare = _taped_run(with_engine=False)
-    armed = _taped_run(with_engine=True)
-    assert armed == bare
 
 
 # ----------------------------------------------------------------------

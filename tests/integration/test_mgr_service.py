@@ -2,9 +2,10 @@
 
 Covers the observability acceptance criteria: health flips on an OSD
 kill and recovers, mid-scrape crashes degrade to a health detail, the
-Prometheus export round-trips, audit records explain migrations, the
-structured-error admin path, and — the determinism contract — a seeded
-run with the mgr produces the same daemon schedules as one without.
+Prometheus export round-trips, audit records explain migrations, and
+the structured-error admin path.  The determinism contract — a seeded
+run with the mgr produces the same daemon schedules as one without
+while health is steady — is pinned in ``test_observer_transparency.py``.
 """
 
 import pytest
@@ -169,36 +170,3 @@ def test_audit_trail_explains_every_migration():
     assert len(full) >= len(migrations)
     decided = [r for r in full if r["status"] == "decided"]
     assert len(decided) > len(migrations)  # most ticks decide "stay"
-
-
-# ----------------------------------------------------------------------
-# Determinism: observation must not perturb the experiment
-# ----------------------------------------------------------------------
-def _non_mgr_tape(mgr):
-    c = MalacologyCluster.build(osds=2, mdss=1, mons=3, seed=46,
-                                mgr=mgr)
-    tape = []
-    orig = c.net.send
-    def spy(src, dst, msg):
-        if not (src.startswith("mgr") or dst.startswith("mgr")):
-            tape.append((c.sim.now, src, dst,
-                         getattr(msg, "method", None)
-                         or getattr(msg, "kind", None)))
-        return orig(src, dst, msg)
-    c.net.send = spy
-    client = c.new_client("load")
-
-    def work():
-        yield from client.fs_mkdir("/d")
-        for i in range(25):
-            yield from client.fs_create(f"/d/f{i}")
-    c.sim.run_until_complete(client.do(work()))
-    c.run(10.0)
-    return tape
-
-
-def test_mgr_does_not_change_daemon_schedules():
-    without = _non_mgr_tape(mgr=False)
-    with_mgr = _non_mgr_tape(mgr=True)
-    assert len(without) > 100  # the workload actually exercised the net
-    assert with_mgr == without

@@ -1,10 +1,9 @@
 """Integration: profiling on a live cluster.
 
-The spine guarantee is schedule identity — the profiler's contract is
-the same as the sanitizers', the mgr's, and the changelog's: observing
-the cluster must not change it.  A profiled run's full network tape
-(every daemon, every message, timestamps included) must be
-byte-identical to an unprofiled run of the same seed.
+Schedule identity — a profiled run's network tape is byte-identical to
+an unprofiled one — is pinned with every other observer plane in
+``test_observer_transparency.py``; this file covers what the profiler
+reports.
 """
 
 import json
@@ -13,19 +12,9 @@ from repro.core import MalacologyCluster
 from repro.mgr.prometheus import parse_prometheus_text
 
 
-def _full_tape(profile):
+def _profiled_cluster():
     c = MalacologyCluster.build(osds=3, mdss=1, mons=3, seed=4242,
-                                profile=profile)
-    tape = []
-    orig = c.net.send
-
-    def spy(src, dst, msg):
-        tape.append((round(c.sim.now, 9), src, dst,
-                     getattr(msg, "method", None)
-                     or getattr(msg, "kind", None)))
-        return orig(src, dst, msg)
-
-    c.net.send = spy
+                                profile=True)
     client = c.new_client("load")
 
     def work():
@@ -35,25 +24,10 @@ def _full_tape(profile):
         for i in range(10):
             yield from client.rados_write_full("data", f"obj{i}",
                                                bytes([i]) * 64)
-        for i in range(10):
-            got = yield from client.rados_read("data", f"obj{i}")
-            assert got == bytes([i]) * 64
 
     c.sim.run_until_complete(client.do(work()))
     c.run(10.0)
-    return tape, c
-
-
-def test_profiler_does_not_change_daemon_schedules():
-    without, _ = _full_tape(profile=False)
-    with_prof, profiled = _full_tape(profile=True)
-    assert len(without) > 200  # the workload exercised the cluster
-    assert with_prof == without
-    # ... while the profiler actually observed the run.
-    prof = profiled.sim.profiler
-    assert prof.events_dispatched > len(without)
-    assert prof.handler_stats()
-    assert profiled.sim.wall_profiler.total_ns() > 0
+    return c
 
 
 def test_profile_admin_commands_on_and_off():
@@ -65,8 +39,7 @@ def test_profile_admin_commands_on_and_off():
     # Every daemon answers, not just the admin client.
     assert off.mons[0].admin_command("profile.status")["enabled"] is False
 
-    on, cluster = _full_tape(profile=True)
-    del on
+    cluster = _profiled_cluster()
     status = cluster.profile_status()
     assert status["enabled"] and status["wall_enabled"]
     assert status["kernel"]["events_dispatched"] > 0
@@ -89,7 +62,7 @@ def test_profile_admin_commands_on_and_off():
     assert got["daemon"] == "mds0" and got["enabled"]
 
 
-def test_prometheus_export_carries_kernel_and_profile_gauges():
+def test_prometheus_export_carries_kernel_gauges_and_handler_latency():
     c = MalacologyCluster.build(osds=2, mdss=1, seed=11, profile=True,
                                 mgr=True)
     client = c.new_client("load")
@@ -107,13 +80,20 @@ def test_prometheus_export_carries_kernel_and_profile_gauges():
     for s in samples:
         by_name.setdefault((s.labels.get("daemon"),
                             s.labels.get("name")), s.value)
+    by_metric = {(s.metric, s.labels.get("daemon"), s.labels.get("name")):
+                 s.value for s in samples}
     assert by_name[("kernel", "kernel.events")] > 0
     assert by_name[("kernel", "kernel.queue_hwm")] > 0
     assert ("kernel", "kernel.event_rate_sim") in by_name
     assert ("kernel", "kernel.ready_hwm") in by_name
-    # Per-daemon handler gauges rode the mgr's ordinary scrapes.
-    assert by_name[("mds0", "profile.handler_events")] > 0
-    assert by_name[("mds0", "profile.handler_sim_time")] > 0
+    # Handler activity rides the mgr's ordinary scrapes as the same
+    # rpc.<method> telemetry profile.dump reads: one datum, one home.
+    mds_req = c.mdss[0].admin_command("profile.dump")[
+        "handler_stats"]["mds0:mds_req"]
+    assert mds_req["count"] >= 6 and mds_req["sim_time"] > 0
+    assert by_metric[("repro_latency_count", "mds0", "rpc.mds_req")] > 0
+    assert by_metric[("repro_latency_sum", "mds0", "rpc.mds_req")] > 0
+    assert ("mds0", "profile.handler_events") not in by_name
     # An unprofiled mgr cluster exports no kernel pseudo-target.
     off = MalacologyCluster.build(osds=2, mdss=1, seed=11, mgr=True,
                                   profile=False)

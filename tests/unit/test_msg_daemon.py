@@ -93,6 +93,22 @@ def test_cast_is_one_way():
     assert server.casts == ["ping"]
 
 
+@pytest.mark.parametrize("send", ["call", "cast"])
+def test_generator_handler_programming_error_is_loud(send):
+    """A non-MalacologyError is a bug in the handler, not a reply:
+    it must surface from ``sim.run`` however the handler was reached."""
+    sim, net, server, client = make_pair()
+
+    def boom(src, payload):
+        yield Timeout(0.1)
+        raise ValueError("handler bug")
+
+    server.register_handler("boom", boom)
+    getattr(client, send)("server", "boom")
+    with pytest.raises(ValueError, match="handler bug"):
+        sim.run()
+
+
 def test_payloads_do_not_alias_across_the_wire():
     sim, net, server, client = make_pair()
     payload = {"list": [1, 2]}

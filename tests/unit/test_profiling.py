@@ -9,10 +9,11 @@ from repro.profiling import (
     chrome_trace,
     install_profiler,
     peak_rss_bytes,
-    uninstall_profiler,
     write_chrome_trace,
 )
-from repro.sim import Simulator
+from repro.errors import NotFound
+from repro.msg import Daemon
+from repro.sim import FixedLatency, Network, Simulator
 from repro.sim.event import Timeout
 from repro.telemetry import TraceCollector
 
@@ -29,20 +30,13 @@ def test_profiler_off_by_default():
     assert sim.wall_profiler is None
 
 
-def test_env_opt_in_mirrors_sanitize(monkeypatch):
-    monkeypatch.setenv("MALACOLOGY_PROFILE", "1")
-    sim = Simulator(seed=1)
-    assert isinstance(sim.profiler, SimProfiler)
-    assert sim.wall_profiler is not None
-
-
-def test_install_is_idempotent_and_uninstall_detaches():
+def test_install_is_idempotent():
     sim = Simulator(seed=1)
     first = install_profiler(sim)
+    wall = sim.wall_profiler
+    assert isinstance(first, SimProfiler) and wall is not None
     assert install_profiler(sim) is first
-    uninstall_profiler(sim)
-    assert sim.profiler is None
-    assert sim.wall_profiler is None
+    assert sim.wall_profiler is wall
 
 
 def test_install_without_wall_plane():
@@ -113,26 +107,38 @@ def test_queue_samples_tape_is_deterministic():
     assert first  # 600 steps -> >= 1200 events -> sampled
 
 
-def test_handler_stats_and_top_handlers():
+def test_handler_stats_come_from_rpc_telemetry():
     sim = Simulator(seed=1)
-    prof = install_profiler(sim, wall=False)
-    prof.on_handler("osd0", "osd_op")
-    prof.on_handler("osd0", "osd_op")
-    prof.on_handler_done("osd0", "osd_op", 0.5)
-    prof.on_handler("mds0", "mds_req")
-    prof.on_handler_done("mds0", "mds_req", 2.0, error=True)
-    stats = prof.handler_stats()
-    assert stats["osd0:osd_op"]["count"] == 2
-    assert stats["osd0:osd_op"]["sim_time"] == 0.5
-    assert stats["mds0:mds_req"]["errors"] == 1
-    assert prof.handler_stats("osd0") == {
+    install_profiler(sim, wall=False)
+    net = Network(sim, latency=FixedLatency(0.001))
+    osd, mds, client = (Daemon(sim, net, n) for n in ("osd0", "mds0", "c"))
+
+    def slow(src, payload):
+        yield Timeout(2.0)
+        raise NotFound("gone")
+
+    osd.register_handler("osd_op", lambda src, payload: "ok")
+    mds.register_handler("mds_req", slow)
+    futs = [client.call("osd0", "osd_op"), client.call("osd0", "osd_op"),
+            client.call("mds0", "mds_req")]
+    sim.run()
+    assert [f.failed for f in futs] == [False, False, True]
+    full = client.admin_command("profile.dump", {"scope": "cluster"})
+    stats = full["handler_stats"]
+    assert stats["osd0:osd_op"] == {"count": 2, "sim_time": 0.0,
+                                    "errors": 0}
+    assert stats["mds0:mds_req"] == {"count": 1, "sim_time": 2.0,
+                                     "errors": 1}
+    assert osd.admin_command("profile.dump")["handler_stats"] == {
         "osd0:osd_op": stats["osd0:osd_op"]}
-    top = prof.top_handlers(1, by="sim_time")
-    assert top[0]["daemon"] == "mds0"
-    top_count = prof.top_handlers(1, by="count")
-    assert top_count[0]["daemon"] == "osd0"
-    totals = prof.daemon_totals("osd0")
-    assert totals == {"events": 2.0, "sim_time": 0.5}
+    top = full["top_sim_time"][0]
+    assert (top["daemon"], top["method"]) == ("mds0", "mds_req")
+    status = osd.admin_command("profile.status")
+    assert status["handler_events"] == 2
+    assert status["handler_sim_time"] == 0.0
+    # The table follows telemetry's lifecycle: a crash clears it.
+    osd.crash()
+    assert osd.admin_command("profile.dump")["handler_stats"] == {}
 
 
 def test_reset_clears_every_plane():
@@ -140,10 +146,8 @@ def test_reset_clears_every_plane():
     prof = install_profiler(sim, wall=False)
     sim.schedule(1.0, lambda: None)
     sim.run()
-    prof.on_handler("d", "m")
     prof.reset()
     assert prof.events_dispatched == 0
-    assert prof.handler_stats() == {}
     assert prof.queue_samples == []
 
 

@@ -32,6 +32,11 @@ def test_run_until_complete_respects_time_limit():
     proc = sim.spawn(forever())
     with pytest.raises(RuntimeError, match="time limit"):
         sim.run_until_complete(proc, limit=10.0)
+    # The failed drive leaves the kernel usable: run() still pads the
+    # clock to exactly ``until``.
+    assert sim.now == 11.0
+    assert sim.run(until=20.5) == 20.5
+    assert sim.now == 20.5
 
 
 def test_stop_halts_run_midway():
@@ -44,6 +49,15 @@ def test_stop_halts_run_midway():
     assert seen == ["a"]
     sim.run()  # resumes
     assert seen == ["a", "b"]
+
+
+def test_stop_inside_bounded_run_still_returns_until():
+    sim = Simulator()
+    seen = []
+    sim.schedule(2.0, sim.stop)
+    sim.schedule(3.0, seen.append, "late")
+    assert sim.run(until=10.0) == 10.0
+    assert seen == []
 
 
 def test_process_repr_and_double_cancel():

@@ -196,8 +196,10 @@ def test_rng_streams_are_deterministic_and_independent():
 def test_run_until_complete_detects_deadlock():
     sim = Simulator()
     fut = Future()
+    sim.schedule(3.0, lambda: None)
     with pytest.raises(RuntimeError, match="deadlock"):
         sim.run_until_complete(fut)
+    assert sim.now == 3.0  # the clock rests at the last event
 
 
 def test_yield_none_resumes_same_time():
