@@ -157,8 +157,10 @@ class Inode:
         self.ino = ino
         self.kind = kind
         self.file_type = file_type
+        #: Edited in place by ``execute``.  Adopted, not copied: only
+        #: ``from_dict`` passes one, fed by the wire or ``to_dict``.
         self.embedded: Dict[str, Any] = (
-            copy.deepcopy(embedded) if embedded is not None
+            embedded if embedded is not None
             else file_type_registry.get(file_type).initial_state())
         self.version = 0
         self.size = 0

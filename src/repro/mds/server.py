@@ -196,8 +196,7 @@ class MDS(Daemon, RadosClient):
         except MalacologyError:
             return
         if not self.ns.has(path):
-            inode = Inode.from_dict(entries[0])
-            self.ns.install_subtree({path: inode.to_dict()})
+            self.ns.install_subtree({path: entries[0]})
         yield from self._load_children(path)
 
     def _load_children(self, path: str) -> Generator:

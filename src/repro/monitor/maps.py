@@ -5,15 +5,16 @@ monotonically increasing *epoch*.  Every daemon and client caches the
 maps it cares about and compares epochs piggybacked on incoming
 messages to discover staleness (paper sections 4.1 and 4.4).
 
-Maps here are plain data (dicts all the way down) so they can cross the
-simulated wire by deep copy.  Mutation happens only inside the monitor
-quorum's state machine, one committed transaction at a time; everyone
-else sees immutable snapshots.
+Maps here are plain data (dicts all the way down).  ``to_dict`` copies
+the containers and shares the values under them (one pool's config, one
+interface's record); the wire (``Daemon._post``) is what deep-copies.
+Mutation happens only in the monitor quorum's state machine, one
+committed transaction at a time, and replaces a value, never edits it,
+so a dict taken earlier stays a stable snapshot.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, List, Optional
 
 from repro.errors import InvalidArgument, NotFound
@@ -41,9 +42,6 @@ class ClusterMap:
     def from_dict(cls, data: Dict[str, Any]) -> "ClusterMap":
         m = cls(epoch=data["epoch"])
         return m
-
-    def copy(self) -> "ClusterMap":
-        return type(self).from_dict(copy.deepcopy(self.to_dict()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(epoch={self.epoch})"
@@ -130,8 +128,8 @@ class OSDMap(ClusterMap):
     def to_dict(self) -> Dict[str, Any]:
         d = super().to_dict()
         d["osds"] = dict(self.osds)
-        d["pools"] = copy.deepcopy(self.pools)
-        d["interfaces"] = copy.deepcopy(self.interfaces)
+        d["pools"] = dict(self.pools)
+        d["interfaces"] = dict(self.interfaces)
         return d
 
     @classmethod
@@ -202,11 +200,10 @@ class MDSMap(ClusterMap):
 
     def to_dict(self) -> Dict[str, Any]:
         d = super().to_dict()
-        # JSON-style dicts keyed by int survive deepcopy fine; keep ints.
         d["ranks"] = dict(self.ranks)
         d["state"] = dict(self.state)
         d["balancer_version"] = self.balancer_version
-        d["lease_policy"] = copy.deepcopy(self.lease_policy)
+        d["lease_policy"] = dict(self.lease_policy)
         d["routing_mode"] = self.routing_mode
         d["subtrees"] = dict(self.subtrees)
         return d

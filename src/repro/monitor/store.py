@@ -186,7 +186,8 @@ class MonitorStore:
                     cfg["cache"] = normalize_cache(cache)
                 m.pools[act["name"]] = cfg
             elif what == "set_pool_pg_num":
-                self.get_map("osd").pool(act["name"])["pg_num"] = act["pg_num"]
+                m.pools[act["name"]] = {**m.pool(act["name"]),
+                                        "pg_num": act["pg_num"]}
             elif what == "set_interface":
                 # Interface source is embedded in the map itself (the
                 # paper's Lua scripts travel the same way, section
@@ -216,7 +217,7 @@ class MonitorStore:
             elif what == "set_balancer_version":
                 m.balancer_version = act["version"]
             elif what == "set_lease_policy":
-                m.lease_policy = copy.deepcopy(act["policy"])
+                m.lease_policy = dict(act["policy"])
             elif what == "set_routing_mode":
                 if act["mode"] not in ("client", "proxy"):
                     raise InvalidArgument(
@@ -240,7 +241,7 @@ class MonitorStore:
             "monmap": self.monmap.to_dict(),
             "osdmap": self.osdmap.to_dict(),
             "mdsmap": self.mdsmap.to_dict(),
-            "kv": copy.deepcopy(self.kv),
+            "kv": dict(self.kv),
             "log": [e.to_dict() for e in self.cluster_log],
         }
 
@@ -248,6 +249,6 @@ class MonitorStore:
         self.monmap = MonMap.from_dict(snap["monmap"])
         self.osdmap = OSDMap.from_dict(snap["osdmap"])
         self.mdsmap = MDSMap.from_dict(snap["mdsmap"])
-        self.kv = copy.deepcopy(snap["kv"])
+        self.kv = dict(snap["kv"])
         self.cluster_log = [
             ClusterLogEntry.from_dict(d) for d in snap["log"]]

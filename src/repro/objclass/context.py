@@ -2,7 +2,8 @@
 
 A class method receives a :class:`MethodContext` bound to the object it
 was invoked on.  All mutations go through the context, which operates on
-a private clone of the object; the OSD commits the clone back only if
+a clone of the object (private containers, values shared: setters store
+copies, getters return copies); the OSD commits the clone back only if
 the whole operation (the full op list, including any class method)
 succeeds — giving the transactional all-or-nothing semantics the paper
 highlights ("native interfaces may be transactionally composed along
@@ -37,8 +38,8 @@ class MethodContext:
     def __init__(self, obj: Optional["StoredObject"], oid: str,
                  epoch: Optional[int] = None, now: float = 0.0):
         #: None means the object does not exist (yet).  The context
-        #: always works on a private clone: the caller's object is
-        #: untouched until it commits the outcome itself.
+        #: always works on a clone (private containers, shared values):
+        #: the caller's object is untouched until it commits the outcome.
         self._obj = obj.clone() if obj is not None else None
         self.oid = oid
         self.epoch = epoch

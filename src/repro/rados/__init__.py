@@ -8,7 +8,7 @@ interface classes (the Data I/O interface).
 
 from repro.rados.client import RadosClient
 from repro.rados.objects import StoredObject
-from repro.rados.ops import apply_ops, is_read_only
+from repro.rados.ops import apply_ops
 from repro.rados.osd import OSD
 from repro.rados.placement import acting_set, locate, pg_of, primary_of
 
@@ -16,7 +16,6 @@ __all__ = [
     "RadosClient",
     "StoredObject",
     "apply_ops",
-    "is_read_only",
     "OSD",
     "acting_set",
     "locate",

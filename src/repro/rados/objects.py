@@ -81,7 +81,7 @@ class StoredObject:
     # Omap (sorted key-value database)
     # ------------------------------------------------------------------
     def omap_get(self, key: str) -> Any:
-        return self.omap[key]
+        return copy.deepcopy(self.omap[key])
 
     def omap_set(self, key: str, value: Any) -> None:
         self.omap[key] = copy.deepcopy(value)
@@ -105,7 +105,7 @@ class StoredObject:
     # Xattrs
     # ------------------------------------------------------------------
     def xattr_get(self, key: str) -> Any:
-        return self.xattrs[key]
+        return copy.deepcopy(self.xattrs[key])
 
     def xattr_set(self, key: str, value: Any) -> None:
         self.xattrs[key] = copy.deepcopy(value)
@@ -125,20 +125,22 @@ class StoredObject:
         return h.hexdigest()
 
     def clone(self) -> "StoredObject":
+        """Private bytestream and key containers, shared values."""
         other = StoredObject(self.oid)
         other.data = bytearray(self.data)
-        other.omap = copy.deepcopy(self.omap)
-        other.xattrs = copy.deepcopy(self.xattrs)
+        other.omap = dict(self.omap)
+        other.xattrs = dict(self.xattrs)
         other.version = self.version
         return other
 
     def to_dict(self) -> Dict[str, Any]:
-        """Wire/state-transfer form (replication, recovery, scrub repair)."""
+        """Wire form: shares values with the object; read-only for any
+        holder other than ``Daemon._post``, which deep-copies it."""
         return {
             "oid": self.oid,
             "data": bytes(self.data),
-            "omap": copy.deepcopy(self.omap),
-            "xattrs": copy.deepcopy(self.xattrs),
+            "omap": dict(self.omap),
+            "xattrs": dict(self.xattrs),
             "version": self.version,
         }
 
@@ -146,8 +148,8 @@ class StoredObject:
     def from_dict(cls, d: Dict[str, Any]) -> "StoredObject":
         obj = cls(d["oid"])
         obj.data = bytearray(d["data"])
-        obj.omap = copy.deepcopy(d["omap"])
-        obj.xattrs = copy.deepcopy(d["xattrs"])
+        obj.omap = dict(d["omap"])
+        obj.xattrs = dict(d["xattrs"])
         obj.version = d["version"]
         return obj
 

@@ -22,22 +22,6 @@ from repro.objclass.context import MethodContext
 from repro.objclass.registry import ClassRegistry
 from repro.rados.objects import StoredObject
 
-#: Ops that can never mutate — a pure-read op list skips replication.
-READ_ONLY_OPS = frozenset({
-    "read", "stat", "omap_get", "omap_list", "xattr_get",
-    "assert_exists",
-})
-
-
-def is_read_only(ops: List[Dict[str, Any]]) -> bool:
-    """True when no op in the list can mutate object state.
-
-    ``exec`` is conservatively treated as mutating — the OSD compares
-    object versions after execution to skip replication for read-only
-    class methods.
-    """
-    return all(op.get("op") in READ_ONLY_OPS for op in ops)
-
 
 def apply_ops(
     obj: Optional[StoredObject],
@@ -50,9 +34,10 @@ def apply_ops(
     """Apply ``ops`` transactionally.
 
     Returns ``(results, new_object_state, removed)``.  Raises the first
-    failing op's error, in which case the caller must discard any
-    partial state (the input ``obj`` is never mutated — the context
-    works on a clone).
+    failing op's error, in which case nothing lands: the input ``obj``
+    is never mutated.  The context works on a clone with private key
+    containers whose values are shared with ``obj``; setters store
+    copies and getters hand out copies, so no op reaches a shared value.
     """
     ctx = MethodContext(obj, oid, epoch=epoch, now=now)  # ctx clones
     results: List[Any] = []

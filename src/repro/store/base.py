@@ -45,7 +45,7 @@ runs only from the OSD's jitter-free store ticker.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import InvalidArgument
 from repro.rados.objects import StoredObject
@@ -111,7 +111,7 @@ class ObjectStore(MutableMapping):
         self.maintenance(now)
 
     # ------------------------------------------------------------------
-    # Introspection / serialization
+    # Introspection
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
         """JSON-safe summary for the ``store.status`` admin command."""
@@ -120,26 +120,6 @@ class ObjectStore(MutableMapping):
             "objects": len(self),
             "bytes": sum(obj.size for _, obj in sorted(self.items())),
         }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full-state snapshot (state transfer and tests)."""
-        return {
-            "profile": self.profile,
-            "objects": {oid: obj.to_dict()
-                        for oid, obj in sorted(self.items())},
-        }
-
-    def load_dict(self, data: Dict[str, Any]) -> None:
-        """Hydrate from a :meth:`to_dict` snapshot (additive merge)."""
-        for oid in sorted(data.get("objects", {})):
-            self[oid] = StoredObject.from_dict(data["objects"][oid])
-
-    # ------------------------------------------------------------------
-    # MutableMapping helpers shared by subclasses
-    # ------------------------------------------------------------------
-    def oids(self) -> List[str]:
-        """All stored oids, sorted (deterministic iteration helper)."""
-        return sorted(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)} objects)"

@@ -19,7 +19,6 @@ ticker is the only clock.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.rados.erasure import ErasureCodec
@@ -71,16 +70,15 @@ class ColdStore(ObjectStore):
             {i: s for i, s in enumerate(cold.shards)}, cold.length)
         obj = StoredObject(cold.oid)
         obj.data = bytearray(data)
-        obj.omap = copy.deepcopy(cold.omap)
-        obj.xattrs = copy.deepcopy(cold.xattrs)
+        obj.omap = dict(cold.omap)
+        obj.xattrs = dict(cold.xattrs)
         obj.version = cold.version
         return obj
 
     def _freeze(self, obj: StoredObject, shards: List[bytes]) -> None:
         self._cold[obj.oid] = ColdObject(
             obj.oid, shards, obj.size,
-            copy.deepcopy(obj.omap), copy.deepcopy(obj.xattrs),
-            obj.version)
+            dict(obj.omap), dict(obj.xattrs), obj.version)
 
     def staged_count(self) -> int:
         return len(self._staging)

@@ -119,9 +119,10 @@ class StoreFaultPlane:
         obj = store.get(oid)
         if obj is None or not obj.data:
             return False
+        obj = obj.clone()  # a stored object is replaced, never edited
         index = self.rng.randrange(len(obj.data))
         obj.data[index] ^= 1 << self.rng.randrange(8)
-        store[oid] = obj  # write back (cache tiers copy on read)
+        store[oid] = obj
         self._record("bitrot", f"{owner}:{oid}@{index}")
         return True
 
@@ -207,12 +208,6 @@ class FaultInjectingStore(ObjectStore):
         status = self.inner.status()
         status["fault_plane"] = self.plane.active
         return status
-
-    def to_dict(self) -> Dict[str, Any]:
-        return self.inner.to_dict()
-
-    def load_dict(self, data: Dict[str, Any]) -> None:
-        self.inner.load_dict(data)
 
     def __repr__(self) -> str:
         return f"FaultInjectingStore({self.inner!r})"

@@ -6,13 +6,17 @@ the same convenience the in-tree benchmarks use.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import (Any, Callable, Dict, Generator, Iterator, List, Optional,
+                    Tuple)
 
 from repro.monitor.monitor import Monitor, MonitorClient
 from repro.msg import Daemon
 from repro.rados.client import RadosClient
+from repro.rados.objects import StoredObject
 from repro.sim import FixedLatency, Network, Simulator
 from repro.sim.network import LatencyModel, lan_latency
+from repro.store import ObjectStore
 
 
 def build_monitor_quorum(
@@ -163,3 +167,38 @@ def record_sends(net: Network, ignore: Tuple[str, ...] = ()) -> List[tuple]:
 
     net.send = spy
     return tape
+
+
+@contextmanager
+def watch_committed_objects() -> Iterator[Callable[[], List[str]]]:
+    """Aliasing oracle: an object handed to a store never changes again.
+
+    Inside the block every object passed to any backend's ``commit`` or
+    ``__setitem__`` is kept with its ``digest()``.  The yielded function
+    re-digests them all, superseded versions included, and returns one
+    line per object whose content moved.  That property is what lets
+    ``clone`` / ``to_dict`` / ``from_dict`` share values, not copy them.
+    """
+    seen: Dict[int, Tuple[StoredObject, str]] = {}  # id -> (obj, digest)
+
+    def watching(method: Callable) -> Callable:
+        def wrapper(store, *args):  # commit(obj) / __setitem__(oid, obj)
+            seen.setdefault(id(args[-1]), (args[-1], args[-1].digest()))
+            return method(store, *args)
+        return wrapper
+
+    def changed() -> List[str]:
+        assert seen, "no object reached a store inside the block"
+        return [f"{obj!r}: {was[:12]} -> {obj.digest()[:12]}"
+                for obj, was in seen.values() if obj.digest() != was]
+
+    originals = [(cls, name, vars(cls)[name])
+                 for cls in ObjectStore.__subclasses__()  # every backend
+                 for name in ("commit", "__setitem__") if name in vars(cls)]
+    for cls, name, method in originals:
+        setattr(cls, name, watching(method))
+    try:
+        yield changed
+    finally:
+        for cls, name, method in originals:
+            setattr(cls, name, method)

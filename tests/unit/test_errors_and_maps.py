@@ -127,13 +127,3 @@ def test_map_from_dict_rejects_unknown_kind():
 
     with pytest.raises(InvalidArgument):
         map_from_dict({"kind": "martian", "epoch": 1})
-
-
-def test_maps_are_value_copies():
-    m = OSDMap(epoch=1, osds={"osd0": "up"},
-               pools={"p": {"size": 2, "pg_num": 8}})
-    clone = m.copy()
-    clone.osds["osd1"] = "up"
-    clone.pools["p"]["size"] = 99
-    assert "osd1" not in m.osds
-    assert m.pools["p"]["size"] == 2

@@ -54,6 +54,8 @@ def test_inode_round_trip_serialization():
     clone = Inode.from_dict(inode.to_dict())
     assert clone.embedded == {"tail": 1}
     assert clone.ino == 7 and clone.version == inode.version
+    inode.execute("next", {})  # embedded is edited in place ...
+    assert clone.embedded == {"tail": 1}  # ... so to_dict copied it out
 
 
 def test_ino_allocator_ranges_are_disjoint():

@@ -96,14 +96,3 @@ def test_kv_del_then_put_restarts_versioning():
     results = store.apply_batch([{"op": "kv_put", "key": "k",
                                   "value": "c"}])
     assert results[0] == 1  # versions restart after delete
-
-
-def test_kv_values_are_isolated_copies():
-    store = MonitorStore(["m0"])
-    value = {"mutable": [1]}
-    store.apply_batch([{"op": "kv_put", "key": "k", "value": value}])
-    value["mutable"].append(2)
-    assert store.kv_get("k")["value"] == {"mutable": [1]}
-    fetched = store.kv_get("k")
-    fetched["value"]["mutable"].append(99)
-    assert store.kv_get("k")["value"] == {"mutable": [1]}

@@ -6,7 +6,7 @@ from repro.errors import AlreadyExists, InvalidArgument, NotFound
 from repro.objclass.bundled import register_all
 from repro.objclass.registry import ClassRegistry
 from repro.rados.objects import StoredObject
-from repro.rados.ops import apply_ops, is_read_only
+from repro.rados.ops import apply_ops
 
 
 @pytest.fixture(scope="module")
@@ -14,17 +14,6 @@ def registry():
     reg = ClassRegistry()
     register_all(reg)
     return reg
-
-
-def test_is_read_only_classification():
-    assert is_read_only([{"op": "read"}, {"op": "stat"}])
-    assert is_read_only([{"op": "omap_list"}, {"op": "xattr_get",
-                                               "key": "k"}])
-    assert not is_read_only([{"op": "read"}, {"op": "write",
-                                              "offset": 0, "data": b""}])
-    # exec is conservatively mutating.
-    assert not is_read_only([{"op": "exec", "cls": "x", "method": "y"}])
-    assert is_read_only([])
 
 
 def test_apply_ops_returns_per_op_results(registry):
