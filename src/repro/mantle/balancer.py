@@ -210,8 +210,7 @@ class MantleBalancer:
         exportable = [
             (path, pop) for path, pop in
             mds.tracker.hottest_inodes(now, limit=64)
-            if path != "/" and not path.startswith("fwd:")
-            and mds.ns.has(path)
+            if path != "/" and mds.ns.has(path)
         ]
         migrated = {}
         for rank, amount in enumerate(targets):

@@ -10,7 +10,7 @@ paper's Figure 10(a) modes (CPU / workload / hybrid) switch between.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 # DecayCounter moved to util.stats so telemetry can share it without a
 # daemon-package import; re-exported here for existing callers.
@@ -37,26 +37,29 @@ class LoadTracker:
         #: halflife: coherence pressure should vanish quickly once a
         #: server's direct clients move away.
         self.direct = DecayCounter(halflife=1.0)
-        self._inode_pop: Dict[int, DecayCounter] = {}
+        self._inode_pop: Dict[str, DecayCounter] = {}
         self._halflife = halflife
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_request(self, now: float, ino: int,
+    def record_request(self, now: float, path: Optional[str],
                        service_time: float) -> None:
+        """Count a request; ``path`` None adds no inode popularity."""
         self.requests.hit(now)
         self.busy.hit(now, service_time)
-        counter = self._inode_pop.get(ino)
+        if path is None:
+            return
+        counter = self._inode_pop.get(path)
         if counter is None:
-            counter = self._inode_pop[ino] = DecayCounter(self._halflife)
+            counter = self._inode_pop[path] = DecayCounter(self._halflife)
         counter.hit(now)
 
     def record_direct(self, now: float) -> None:
         self.direct.hit(now)
 
-    def forget_inode(self, ino: int) -> None:
-        self._inode_pop.pop(ino, None)
+    def forget_inode(self, path: str) -> None:
+        self._inode_pop.pop(path, None)
 
     # ------------------------------------------------------------------
     # Reading
@@ -71,14 +74,14 @@ class LoadTracker:
         # window to approximate a utilization fraction.
         return min(1.0, self.busy.get(now) / self._halflife)
 
-    def inode_popularity(self, now: float, ino: int) -> float:
-        counter = self._inode_pop.get(ino)
+    def inode_popularity(self, now: float, path: str) -> float:
+        counter = self._inode_pop.get(path)
         return counter.get(now) if counter else 0.0
 
     def hottest_inodes(self, now: float,
-                       limit: int = 10) -> List[Tuple[int, float]]:
+                       limit: int = 10) -> List[Tuple[str, float]]:
         scored = sorted(
-            ((ino, c.get(now)) for ino, c in self._inode_pop.items()),
+            ((path, c.get(now)) for path, c in self._inode_pop.items()),
             key=lambda pair: pair[1], reverse=True)
         return scored[:limit]
 

@@ -18,14 +18,15 @@ rank.  It implements:
 * load accounting and peer load gossip for the balancer.
 
 Processing cost model: the MDS is a single-server queue.  Every
-request consumes a service time on the daemon's virtual CPU
-(:meth:`_consume_cpu`), so throughput saturates and migration
-genuinely relieves load — the effect Figures 9-12 measure.
+request consumes the service time its op declares in ``MDS._OPS`` on
+the daemon's virtual CPU (:meth:`_serve`), so throughput saturates and
+migration genuinely relieves load — the effect Figures 9-12 measure.
 """
 
 from __future__ import annotations
 
 import copy
+from types import GeneratorType
 from typing import Any, Dict, Generator, List, Optional, Set
 
 from repro.errors import (
@@ -115,8 +116,6 @@ class MDS(Daemon, RadosClient):
         #: None means no balancing at all.
         self.balancer: Optional[Any] = None
         self.booted = False
-        #: Bench hook: fn(op, sim_time) on every locally served request.
-        self.request_hook: Optional[Any] = None
         #: Changelog producer shim (``repro.changelog.ChangelogProducer``)
         #: attached by ``cluster.enable_changelog``; None = no changelog.
         self.changelog: Optional[Any] = None
@@ -213,15 +212,26 @@ class MDS(Daemon, RadosClient):
                 yield from self._load_children(child)
 
     # ------------------------------------------------------------------
-    # CPU model
+    # Service model
     # ------------------------------------------------------------------
-    def _consume_cpu(self, cost: float) -> Generator:
-        """Serialize through this daemon's virtual CPU."""
-        start = max(self.sim.now, self._cpu_free_at)
-        self._cpu_free_at = start + cost
-        wait = self._cpu_free_at - self.sim.now
+    def _serve(self, cost: float, path: Optional[str], *,
+               counted: bool = True, queued: bool = True) -> Generator:
+        """The one service step: pay ``cost`` seconds, then record load.
+
+        ``queued`` work waits its turn on this daemon's FIFO virtual
+        CPU; a proxy relay pays ``cost`` as a plain delay off it.  The
+        record feeds Mantle's ``load`` and ``cpu``, and inode popularity
+        unless ``path`` is None.
+        """
+        if queued:
+            self._cpu_free_at = max(self.sim.now, self._cpu_free_at) + cost
+            wait = self._cpu_free_at - self.sim.now
+        else:
+            wait = cost
         if wait > 0:
             yield Timeout(wait)
+        if counted:
+            self.tracker.record_request(self.sim.now, path, cost)
 
     # ------------------------------------------------------------------
     # Request entry point
@@ -242,24 +252,8 @@ class MDS(Daemon, RadosClient):
         owner = m.owner_of(path)
         if owner != self.rank:
             self.perf.incr("op.forward")
-            result = yield from self._route_away(owner, src, payload)
-            return result
-        handler = self._OPS.get(op)
-        if handler is None:
-            raise InvalidArgument(f"unknown mds op {op!r}")
-        started = self.sim.now
-        result = yield from handler(self, src, path,
-                                    payload.get("args", {}))
-        self.perf.time(f"op.{op}", self.sim.now - started)
-        if self.request_hook is not None:
-            self.request_hook(op, self.sim.now)
-        return result
-
-    def _route_away(self, owner: int, src: str,
-                    payload: Dict[str, Any]) -> Generator:
-        m = self.mdsmap
-        assert m is not None
-        if m.routing_mode == "proxy":
+            if m.routing_mode != "proxy":
+                raise WrongMDS(owner)
             target = m.rank_holder(owner)
             if target is None:
                 raise TryAgain(f"rank {owner} has no daemon")
@@ -269,23 +263,29 @@ class MDS(Daemon, RadosClient):
             # decouple client request handling and operation
             # processing" (section 6.2.2) — forwarded traffic pipelines
             # past the proxy's own request processing instead of
-            # queueing behind it.
-            yield Timeout(self.COST_FORWARD)
-            self.tracker.record_request(self.sim.now,
-                                        f"fwd:{payload['path']}",
-                                        self.COST_FORWARD)
+            # queueing behind it.  The inode is not ours: no popularity.
+            yield from self._serve(self.COST_FORWARD, None, queued=False)
             result = yield self.call(target, "mds_req", payload,
                                      timeout=self.FORWARD_TIMEOUT)
             return result
-        raise WrongMDS(owner)
+        entry = self._OPS.get(op)
+        if entry is None:
+            raise InvalidArgument(f"unknown mds op {op!r}")
+        handler, cost, counted = entry
+        started = self.sim.now
+        if cost is not None:
+            yield from self._serve(cost, path, counted=counted)
+        result = handler(self, src, path, payload.get("args", {}))
+        if isinstance(result, GeneratorType):
+            result = yield from result
+        self.perf.time(f"op.{op}", self.sim.now - started)
+        return result
 
     # ------------------------------------------------------------------
     # Namespace operations
     # ------------------------------------------------------------------
     def _op_mkdir(self, src: str, path: str,
                   args: Dict[str, Any]) -> Generator:
-        yield from self._consume_cpu(self.COST_MUTATE)
-        self.tracker.record_request(self.sim.now, path, self.COST_MUTATE)
         inode = Inode(self.allocator.allocate(), DIR)
         self.ns.add(path, inode)
         yield from self._persist_entry(path, inode)
@@ -295,8 +295,6 @@ class MDS(Daemon, RadosClient):
 
     def _op_create(self, src: str, path: str,
                    args: Dict[str, Any]) -> Generator:
-        yield from self._consume_cpu(self.COST_MUTATE)
-        self.tracker.record_request(self.sim.now, path, self.COST_MUTATE)
         file_type = args.get("file_type", "regular")
         inode = Inode(self.allocator.allocate(), FILE, file_type=file_type)
         self.ns.add(path, inode)
@@ -310,8 +308,6 @@ class MDS(Daemon, RadosClient):
     def _op_setattr(self, src: str, path: str,
                     args: Dict[str, Any]) -> Generator:
         """Update inode attributes (currently: size, after data I/O)."""
-        yield from self._consume_cpu(self.COST_MUTATE)
-        self.tracker.record_request(self.sim.now, path, self.COST_MUTATE)
         inode = self.ns.get(path)
         size = args.get("size")
         if size is not None:
@@ -326,21 +322,15 @@ class MDS(Daemon, RadosClient):
         return inode.to_dict()
 
     def _op_stat(self, src: str, path: str,
-                 args: Dict[str, Any]) -> Generator:
-        yield from self._consume_cpu(self.COST_LOOKUP)
-        self.tracker.record_request(self.sim.now, path, self.COST_LOOKUP)
+                 args: Dict[str, Any]) -> Dict[str, Any]:
         return self.ns.get(path).to_dict()
 
     def _op_readdir(self, src: str, path: str,
-                    args: Dict[str, Any]) -> Generator:
-        yield from self._consume_cpu(self.COST_LOOKUP)
-        self.tracker.record_request(self.sim.now, path, self.COST_LOOKUP)
+                    args: Dict[str, Any]) -> List[str]:
         return self.ns.listdir(path)
 
     def _op_unlink(self, src: str, path: str,
                    args: Dict[str, Any]) -> Generator:
-        yield from self._consume_cpu(self.COST_MUTATE)
-        self.tracker.record_request(self.sim.now, path, self.COST_MUTATE)
         inode = self.ns.remove(path)
         self.locker.drop_ino(inode.ino)
         san = self.sim.sanitizers
@@ -364,8 +354,6 @@ class MDS(Daemon, RadosClient):
         rank.  Any delegated capability is recalled first so the
         holder's dirty state lands before the dentry moves.
         """
-        yield from self._consume_cpu(self.COST_MUTATE)
-        self.tracker.record_request(self.sim.now, path, self.COST_MUTATE)
         to = validate_path(args.get("to", ""))
         m = self.mdsmap
         if m is None or m.owner_of(to) != self.rank:
@@ -462,8 +450,7 @@ class MDS(Daemon, RadosClient):
             self.tracker.record_direct(self.sim.now)
             if self._another_rank_active():
                 cost += self.COST_COHERENCE
-        yield from self._consume_cpu(cost)
-        self.tracker.record_request(self.sim.now, path, cost)
+        yield from self._serve(cost, path)
         return inode.execute(args["method"], args.get("args", {}))
 
     def _another_rank_active(self) -> bool:
@@ -526,8 +513,6 @@ class MDS(Daemon, RadosClient):
     # ------------------------------------------------------------------
     def _op_open(self, src: str, path: str,
                  args: Dict[str, Any]) -> Generator:
-        yield from self._consume_cpu(self.COST_CAP)
-        self.tracker.record_request(self.sim.now, path, self.COST_CAP)
         inode = self.ns.get(path)
         policy = self._policy_for(inode)
         if not policy.cacheable:
@@ -565,8 +550,7 @@ class MDS(Daemon, RadosClient):
         }
 
     def _op_cap_release(self, src: str, path: str,
-                        args: Dict[str, Any]) -> Generator:
-        yield from self._consume_cpu(self.COST_CAP)
+                        args: Dict[str, Any]) -> None:
         ino = args["ino"]
         inode = self.ns.get(path)
         if self.locker.release(ino, src, args["seq"]):
@@ -786,16 +770,19 @@ class MDS(Daemon, RadosClient):
             self.changelog.on_daemon_restart()
         self.spawn(self._boot(), name=f"{self.name}:reboot")
 
-    #: Dispatch table (class attribute so subclasses can extend).
+    #: The service model: op -> (handler, CPU cost, counts as load),
+    #: charged by :meth:`_serve` before the handler runs.  ``ftype_exec``
+    #: learns its cost only after a possible cap recall and serves
+    #: itself; a cap release is CPU work but no client demand.
     _OPS = {
-        "mkdir": _op_mkdir,
-        "create": _op_create,
-        "stat": _op_stat,
-        "setattr": _op_setattr,
-        "rename": _op_rename,
-        "readdir": _op_readdir,
-        "unlink": _op_unlink,
-        "ftype_exec": _op_ftype_exec,
-        "open": _op_open,
-        "cap_release": _op_cap_release,
+        "mkdir": (_op_mkdir, COST_MUTATE, True),
+        "create": (_op_create, COST_MUTATE, True),
+        "stat": (_op_stat, COST_LOOKUP, True),
+        "setattr": (_op_setattr, COST_MUTATE, True),
+        "rename": (_op_rename, COST_MUTATE, True),
+        "readdir": (_op_readdir, COST_LOOKUP, True),
+        "unlink": (_op_unlink, COST_MUTATE, True),
+        "ftype_exec": (_op_ftype_exec, None, True),
+        "open": (_op_open, COST_CAP, True),
+        "cap_release": (_op_cap_release, COST_CAP, False),
     }

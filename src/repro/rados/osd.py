@@ -265,6 +265,12 @@ class OSD(Daemon, MonitorClient):
     # Dynamic interface installation (Data I/O interface)
     # ------------------------------------------------------------------
     def _install_interfaces(self, m: OSDMap) -> None:
+        for name in [n for n in self._installed_versions
+                     if n not in m.interfaces]:
+            # Uninstalled from the map: stop serving it.  Dropping the
+            # version also voids an install still in flight.
+            del self._installed_versions[name]
+            self.registry.remove_dynamic(name)
         for name, entry in m.interfaces.items():
             if self._installed_versions.get(name, -1) >= entry["version"]:
                 continue
@@ -279,8 +285,9 @@ class OSD(Daemon, MonitorClient):
                         _ln(self.INTERFACE_INSTALL_MEDIAN),
                         self.INTERFACE_INSTALL_SIGMA))
         yield Timeout(delay)
-        if not self.alive:
-            return
+        if (not self.alive or self._installed_versions.get(name, -1)
+                < entry["version"]):
+            return  # crashed, or the map removed it meanwhile
         try:
             self.registry.install_dynamic(
                 name, entry["version"], entry["source"],

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import MalacologyCluster, SharedResourceInterface
 from repro.errors import AlreadyExists, NotFound
-from repro.mds.server import METADATA_POOL
+from repro.mds.server import MDS, METADATA_POOL
+from repro.sim.network import FixedLatency
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +135,45 @@ def test_mds_restart_recovers_namespace_from_rados():
     st = c.do(c.admin.fs_stat("/a/b/file"))
     assert st["file_type"] == "sequencer"
     assert c.do(c.admin.fs_readdir("/a")) == ["b"]
+
+
+# ----------------------------------------------------------------------
+# Service model: one FIFO virtual CPU per MDS, costs from MDS._OPS
+# ----------------------------------------------------------------------
+def test_simultaneous_creates_are_served_fifo():
+    c = MalacologyCluster.build(osds=3, mdss=1, seed=33,
+                                latency=FixedLatency(0.001))
+    c.do(c.admin.fs_mkdir("/fifo"))
+    a, b = c.new_client("fifo-a"), c.new_client("fifo-b")
+    for client in (a, b):  # warm the clients' MDS maps
+        c.sim.run_until_complete(client.do(client.fs_stat("/fifo")))
+    done = {}
+
+    def create(client, path):
+        yield from client.fs_create(path)
+        done[path] = c.sim.now
+
+    procs = [a.do(create(a, "/fifo/a")), b.do(create(b, "/fifo/b"))]
+    for proc in procs:
+        c.sim.run_until_complete(proc)
+    # Both arrive in the same instant; the second waits out the first's
+    # CPU slot and is otherwise identical.
+    assert abs(done["/fifo/b"] - done["/fifo/a"]) == pytest.approx(
+        MDS.COST_MUTATE)
+
+
+def test_cap_release_charges_cpu_but_is_not_load(cluster):
+    c = cluster
+    c.do(c.admin.fs_mkdir("/released"))
+    c.do(c.admin.fs_create("/released/seq", file_type="sequencer"))
+    mds = c.mdss[0]
+    ino = c.do(c.admin.fs_stat("/released/seq"))["ino"]
+    c.run(1.0)
+    load_before = mds.perf.dump()["gauges"]["mds.load"]
+    mds.spawn(mds._h_request("releaser", {
+        "op": "cap_release", "path": "/released/seq",
+        "args": {"ino": ino, "seq": 0}}))
+    c.sim.run(until=c.sim.now + MDS.COST_CAP / 2)
+    gauges = mds.perf.dump()["gauges"]
+    assert gauges["cpu.backlog"] > 0.0
+    assert gauges["mds.load"] <= load_before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MalacologyCluster
+from repro.core import LoadBalancingInterface, MalacologyCluster
 from repro.errors import NotFound
 
 
@@ -96,3 +96,23 @@ def test_migrated_subtree_survives_new_owner_restart():
     # Rank 1 reloaded its subtree from RADOS.
     st = c.do(c.admin.fs_stat("/persistent/f"))
     assert st["file_type"] == "sequencer"
+
+
+def test_proxy_forward_is_load_but_not_popularity():
+    c = MalacologyCluster.build(osds=3, mdss=2, seed=83)
+    c.do(c.admin.fs_mkdir("/remote"))
+    c.do(c.admin.fs_create("/remote/f"))
+    migrate(c, "/remote", 1)
+    c.do(LoadBalancingInterface(c.admin).set_routing_mode("proxy"))
+    c.run(60.0)  # let rank 0's earlier load decay away
+    proxy = c.mds_of_rank(0)
+    before = proxy.tracker.snapshot(c.sim.now)
+    hottest_before = proxy.tracker.hottest_inodes(c.sim.now, limit=64)
+    assert c.do(c.admin.fs_stat("/remote/f"))["kind"] == "file"
+    assert proxy.perf.get("op.forward") == 1
+    after = proxy.tracker.snapshot(c.sim.now)
+    assert after["load"] > before["load"] + 0.5
+    assert after["cpu"] > before["cpu"]
+    # The relayed inode belongs to rank 1: no popularity entry here.
+    assert [p for p, _ in proxy.tracker.hottest_inodes(
+        c.sim.now, limit=64)] == [p for p, _ in hottest_before]

@@ -123,3 +123,49 @@ def test_zlog_class_over_the_wire_epoch_fencing(cluster):
     with pytest.raises(StaleEpoch):
         c.do(c.admin.rados_exec("data", "log-obj", "zlog", "write",
                                 {"epoch": 1, "pos": 1, "data": "stale"}))
+
+
+def _remove_interface(c, name):
+    c.do(c.admin.mon_submit([{
+        "op": "map_update", "kind": "osd",
+        "actions": [{"action": "remove_interface", "name": name}]}]))
+
+
+def _oid_per_primary(c, pool):
+    """Primary OSD -> an object it leads, so execs reach every OSD."""
+    osdmap = c.mons[0].store.osdmap
+    found = {}
+    for oid in (f"probe-{i}" for i in range(200)):
+        found.setdefault(locate(osdmap, pool, oid)[1][0], oid)
+    assert len(found) == len(c.osds)
+    return found
+
+
+def test_removed_interface_stops_running_on_every_osd(cluster):
+    c = cluster
+    c.do(c.admin.rados_install_interface("doomed", 1, COUNTER_SOURCE))
+    c.run(3.0)
+    oids = _oid_per_primary(c, "data")
+    for oid in oids.values():
+        assert c.do(c.admin.rados_exec("data", oid, "doomed", "inc",
+                                       {})) == {"count": 1}
+    _remove_interface(c, "doomed")
+    c.run(3.0)
+    assert not any(o.registry.has("doomed") for o in c.osds)
+    for oid in oids.values():
+        with pytest.raises(NotFound, match="no object class"):
+            c.do(c.admin.rados_exec("data", oid, "doomed", "inc", {}))
+
+
+def test_remove_interface_voids_an_install_in_flight():
+    c = build_rados_cluster(osd_count=3, seed=12)
+    for o in c.osds:
+        # A fixed, slow compile so the removal lands mid-install.
+        o.INTERFACE_INSTALL_MEDIAN = o.INTERFACE_INSTALL_CAP = 5.0
+        o.INTERFACE_INSTALL_SIGMA = 0.0
+    c.do(c.admin.rados_install_interface("late", 1, COUNTER_SOURCE))
+    c.run(1.0)
+    assert not any(o.registry.has("late") for o in c.osds)
+    _remove_interface(c, "late")
+    c.run(10.0)
+    assert not any(o.registry.has("late") for o in c.osds)

@@ -28,6 +28,7 @@ from repro.mds.namespace import (
     under,
     validate_path,
 )
+from repro.mds.server import MDS
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +168,24 @@ def test_load_tracker_cpu_util_bounded():
         t.record_request(0.0, "/x", 1.0)
     assert t.cpu_util(0.0) == 1.0
     assert t.cpu_util(1e6) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_load_tracker_counts_a_pathless_request_without_popularity():
+    t = LoadTracker(halflife=10.0)
+    t.record_request(0.0, None, 1e-3)
+    assert t.request_rate(0.0) == pytest.approx(1.0)
+    assert t.cpu_util(0.0) > 0.0
+    assert t.hottest_inodes(0.0) == []
+
+
+def test_every_mds_op_declares_a_cost_except_ftype_exec():
+    costs = {op: cost for op, (_, cost, _) in MDS._OPS.items()}
+    assert [op for op, cost in costs.items() if cost is None] == [
+        "ftype_exec"]
+    assert all(cost > 0 for cost in costs.values() if cost is not None)
+    uncounted = [op for op, (_, _, counted) in MDS._OPS.items()
+                 if not counted]
+    assert uncounted == ["cap_release"]
 
 
 # ----------------------------------------------------------------------
