@@ -5,7 +5,7 @@
 
 ``python -m repro.analysis flow [paths] [--json] [--emit DIR]
                                  [--check DIR] [--docs FILE]``
-    Whole-program message-flow analysis (MAL010-017), RPC-graph
+    Whole-program message-flow analysis (MAL010-018), RPC-graph
     artifact emission, and the architecture-drift gate.
 
 ``python -m repro.analysis check [paths] [--jobs N] [--json]``
@@ -91,7 +91,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     flow_p = sub.add_parser(
         "flow", help="whole-program message-flow analysis "
-        "(MAL010-017) and RPC-graph artifacts")
+        "(MAL010-018) and RPC-graph artifacts")
     flow_p.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories "
                         "(default: src/repro)")

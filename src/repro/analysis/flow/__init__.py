@@ -2,7 +2,7 @@
 
 Builds the cross-daemon RPC graph — every daemon kind's handler table
 joined with every resolved ``call``/``cast`` site — then checks the
-MAL010-017 reply/future-discipline and architecture rules over it and
+MAL010-018 reply/future-discipline and architecture rules over it and
 emits the committed ``docs/rpc-graph.{json,dot}`` artifacts.
 
 Public surface::

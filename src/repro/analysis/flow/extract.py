@@ -21,7 +21,9 @@ function for:
   caller's location;
 * payload shapes — dict-literal keys at call sites vs. subscript /
   ``.get`` keys in handlers — and reply discipline (is the returned
-  Future consumed? does the handler have a silent fall-through?).
+  Future consumed? does the handler have a silent fall-through?);
+* in-place edits of what crossed the wire: a handler editing its
+  request payload, a sender editing a name it already posted.
 
 Everything here is pure AST analysis: no imports of the analyzed
 code, deterministic output (sorted everywhere), no hash-order
@@ -95,7 +97,15 @@ DST_NAME_HINTS: Tuple[Tuple[str, str], ...] = (
 
 #: Sanitizer planes and the hook-name prefixes that identify a call
 #: into them (``san.caps.on_grant``, ``san.zlog.observe_ops``).
-SANITIZER_PLANES = ("paxos", "caps", "zlog", "migration")
+SANITIZER_PLANES = ("paxos", "caps", "zlog", "migration", "wire")
+
+#: Member calls that edit a container in place (MAL018).  Subscript and
+#: attribute stores, ``del`` and augmented assignment through a name
+#: are edits too.
+MUTATING_METHODS = frozenset({
+    "append", "extend", "insert", "update", "setdefault", "pop",
+    "remove", "clear", "sort",
+})
 
 #: Directories whose files are the message/simulation machinery
 #: itself: their generic ``self.call(dst, method)`` plumbing is not a
@@ -172,6 +182,113 @@ def _walk_shallow(node: ast.AST) -> Iterable[ast.AST]:
         stack.extend(ast.iter_child_nodes(child))
 
 
+def _root_name(expr: ast.AST) -> Optional[str]:
+    """The name an access path starts from: ``p`` in ``p["a"].get("b")``
+    or ``(p or {})["a"]``; None when it starts anywhere else."""
+    while True:
+        if isinstance(expr, (ast.Subscript, ast.Attribute)):
+            expr = expr.value
+        elif isinstance(expr, ast.Call) \
+                and isinstance(expr.func, ast.Attribute) \
+                and expr.func.attr in ("get", "setdefault", "items",
+                                       "values"):
+            expr = expr.func.value
+        elif isinstance(expr, ast.BoolOp):
+            expr = expr.values[0]
+        else:
+            return expr.id if isinstance(expr, ast.Name) else None
+
+
+def _posted_names(expr: Optional[ast.AST]) -> Set[str]:
+    """Names a payload expression hands over by reference: the payload
+    itself, or a value / element of a dict, list, tuple or set display."""
+    if isinstance(expr, ast.Name):
+        return {expr.id}
+    if isinstance(expr, ast.Dict):
+        children: Sequence[ast.AST] = expr.values
+    elif isinstance(expr, (ast.List, ast.Tuple, ast.Set)):
+        children = expr.elts
+    else:
+        return set()
+    return {name for child in children for name in _posted_names(child)}
+
+
+def _bindings(node: ast.AST) -> List[Tuple[str, ast.AST]]:
+    """(name, value it is bound from) for each name ``node`` binds."""
+    if isinstance(node, ast.Assign):
+        out: List[Tuple[str, ast.AST]] = []
+        for tgt in node.targets:
+            if isinstance(tgt, ast.Name):
+                out.append((tgt.id, node.value))
+            elif isinstance(tgt, (ast.Tuple, ast.List)):
+                # ``a, b = p["a"], p["b"]`` pairs up; any other
+                # unpacking binds every name from the whole value.
+                value = node.value
+                pairs = isinstance(value, (ast.Tuple, ast.List)) \
+                    and len(value.elts) == len(tgt.elts)
+                out.extend((elt.id, value.elts[i] if pairs else value)
+                           for i, elt in enumerate(tgt.elts)
+                           if isinstance(elt, ast.Name))
+        return out
+    if isinstance(node, (ast.AnnAssign, ast.NamedExpr)) \
+            and isinstance(node.target, ast.Name) and node.value:
+        return [(node.target.id, node.value)]
+    if isinstance(node, ast.For):
+        # An element of a payload container is part of the payload.
+        return [(n.id, node.iter) for n in ast.walk(node.target)
+                if isinstance(n, ast.Name)]
+    return []
+
+
+def _edited_roots(node: ast.AST) -> List[str]:
+    """Names whose content ``node`` edits in place."""
+    targets: List[ast.AST] = []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) \
+            and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in MUTATING_METHODS:
+        return [r for r in (_root_name(node.func.value),) if r]
+    flat: List[ast.AST] = []
+    while targets:
+        tgt = targets.pop()
+        if isinstance(tgt, (ast.Tuple, ast.List)):
+            targets.extend(tgt.elts)
+        elif isinstance(tgt, ast.Starred):
+            targets.append(tgt.value)
+        elif isinstance(tgt, (ast.Subscript, ast.Attribute)):
+            flat.append(tgt)
+    return [r for r in map(_root_name, flat) if r]
+
+
+def in_place_edits(fn: ast.AST, names: Set[str],
+                   after_line: int = 0) -> List[Tuple[str, ast.AST]]:
+    """(name, node) of every in-place edit through ``names`` in ``fn``.
+
+    Statements are judged in source order from ``after_line`` on.  A
+    name bound from one that counts (``x = p["k"]``, ``p.get("k")``, a
+    loop over either) counts too; a name rebound to anything else stops
+    counting.  Loops are not unrolled: an edit above a send in the same
+    loop body is left to the runtime wire sanitizer.
+    """
+    live = set(names)
+    out: List[Tuple[str, ast.AST]] = []
+    nodes = sorted((n for n in _walk_shallow(fn)
+                    if getattr(n, "lineno", 0) > after_line),
+                   key=lambda n: (n.lineno, n.col_offset))
+    for node in nodes:
+        out.extend((root, node) for root in _edited_roots(node)
+                   if root in live)
+        for name, value in _bindings(node):
+            if _root_name(value) in live:
+                live.add(name)
+            else:
+                live.discard(name)
+    return out
+
+
 # ----------------------------------------------------------------------
 # Control-flow: does a body terminate (return/raise) on every path?
 # ----------------------------------------------------------------------
@@ -242,6 +359,20 @@ class Mutation:
     planes_in_func: Tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class PayloadEdit:
+    """An in-place edit of something that crossed the wire (MAL018)."""
+
+    path: str
+    line: int
+    source: str                 # the editing statement or call
+    name: str                   # the edited name
+    #: "handler 'm' (Cls.func)" for a handler editing its request, or
+    #: "cast('m') on line N" for a sender editing what it posted.
+    owner: str
+    by_handler: bool
+
+
 @dataclass
 class _Wrapper:
     """A method that forwards a ``method`` parameter into self.call."""
@@ -269,6 +400,7 @@ class Extraction:
     graph: FlowGraph
     files: List[SourceFile]
     mutations: List[Mutation] = field(default_factory=list)
+    payload_edits: List[PayloadEdit] = field(default_factory=list)
     #: (path, line) of every dynamic-method call site that no wrapper
     #: caller resolved (excluded from MAL010, reported in the graph
     #: payload for auditability).
@@ -285,6 +417,7 @@ class Extractor:
         self.module_funcs: Dict[str, Tuple[ast.AST, Path]] = {}
         self.graph = FlowGraph()
         self.mutations: List[Mutation] = []
+        self.payload_edits: Dict[Tuple[str, int], PayloadEdit] = {}
         self.dynamic_sites: List[Tuple[str, int, str]] = []
         self._wrappers: Dict[str, _Wrapper] = {}
         self._kinds_cache: Dict[str, Tuple[str, ...]] = {}
@@ -306,6 +439,8 @@ class Extractor:
                           mutations=sorted(
                               self.mutations,
                               key=lambda m: (m.path, m.line)),
+                          payload_edits=[e for _, e in sorted(
+                              self.payload_edits.items())],
                           dynamic_sites=sorted(self.dynamic_sites))
 
     # ------------------------------------------------------------------
@@ -497,6 +632,11 @@ class Extractor:
             if mode == "call" else False
         payload_keys, exhaustive = self._payload_shape(payload_expr, fn)
         fname = getattr(fn, "name", "<module>")
+        method_text = _str_head(method_expr) or dotted_text(method_expr)
+        self._record_edits(fn, _posted_names(payload_expr), path,
+                           node.end_lineno,
+                           f"{mode}('{method_text}') on line {node.lineno}",
+                           by_handler=False)
         if isinstance(method_expr, ast.Constant) \
                 and isinstance(method_expr.value, str):
             dst_kind, resolution = self._resolve_dst(
@@ -680,6 +820,14 @@ class Extractor:
             if kinds == (ANY_KIND,):
                 kinds = tuple(all_kinds)
             analysis = self._analyze_handler(handler_expr, cls)
+            fn_def, fn_path = self._handler_fn(handler_expr, cls) \
+                or (handler_expr, path)
+            if isinstance(fn_def, (ast.FunctionDef, ast.Lambda)) \
+                    and fn_def.args.args:
+                self._record_edits(
+                    fn_def, {fn_def.args.args[-1].arg}, fn_path, 0,
+                    f"handler '{method}' ({cls or '<module>'}."
+                    f"{analysis['func']})", by_handler=True)
             via = "admin" if reg_kind == "register_admin_command" \
                 else "handler"
             if helper:
@@ -711,6 +859,18 @@ class Extractor:
                 if kind and kind in self.graph.kinds:
                     self.graph.kinds[kind].classes.append(cls_name)
 
+    def _record_edits(self, fn: ast.AST, names: Set[str], path: Path,
+                      after_line: int, owner: str,
+                      by_handler: bool) -> None:
+        for name, node in in_place_edits(fn, names, after_line):
+            key = (str(path), node.lineno)
+            if key in self.payload_edits:
+                continue          # a mixin handler registers per kind
+            self.payload_edits[key] = PayloadEdit(
+                path=str(path), line=node.lineno,
+                source=dotted_text(node).splitlines()[0], name=name,
+                owner=owner, by_handler=by_handler)
+
     def _kinds_of_param(self, fn: ast.AST, param: str,
                         all_kinds: List[str]) -> Tuple[str, ...]:
         """Kinds a helper's daemon-parameter can be at runtime."""
@@ -735,8 +895,8 @@ class Extractor:
                "falls_through": False, "is_generator": False,
                "payload_keys": (), "optional_keys": (),
                "wholesale": False}
-        fn = self._handler_fn(expr, cls)
-        if fn is None:
+        found = self._handler_fn(expr, cls)
+        if found is None:
             if isinstance(expr, ast.Lambda):
                 out["func"] = "<lambda>"
                 body = expr.body
@@ -752,6 +912,7 @@ class Extractor:
                     out["optional_keys"] = opt
                     out["wholesale"] = wholesale
             return out
+        fn = found[0]
         out["func"] = fn.name
         out["is_generator"] = any(
             isinstance(n, (ast.Yield, ast.YieldFrom))
@@ -773,8 +934,9 @@ class Extractor:
             out["wholesale"] = wholesale
         return out
 
-    def _handler_fn(self, expr: Optional[ast.AST],
-                    cls: Optional[str]) -> Optional[ast.AST]:
+    def _handler_fn(self, expr: Optional[ast.AST], cls: Optional[str],
+                    ) -> Optional[Tuple[ast.AST, Path]]:
+        """The handler's definition and the file it is in."""
         if expr is None:
             return None
         if isinstance(expr, ast.Attribute) \
@@ -783,11 +945,9 @@ class Extractor:
             for candidate in [cls, *self._ancestors(cls)]:
                 info = self.classes.get(candidate)
                 if info and expr.attr in info.methods:
-                    return info.methods[expr.attr]
+                    return info.methods[expr.attr], info.path
         if isinstance(expr, ast.Name):
-            hit = self.module_funcs.get(expr.id)
-            if hit:
-                return hit[0]
+            return self.module_funcs.get(expr.id)
         return None
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""Whole-program message-flow rules (MAL010-MAL017).
+"""Whole-program message-flow rules (MAL010-MAL018).
 
 Unlike the file-local MAL001-007 lint rules, these run over the
 :class:`~repro.analysis.flow.extract.Extraction` — the cross-daemon
@@ -26,6 +26,10 @@ MAL015  cast-consumed-reply  cast to a method whose reply other sites
 MAL016  undocumented-admin   admin command missing from DESIGN.md
 MAL017  unsanitized-mutation protocol-critical daemon state mutated
                              without the declared sanitizer hook
+MAL018  payload-edit         a handler edits its request payload in
+                             place, or a sender edits a name it already
+                             posted (the wire moves payloads, it does
+                             not copy them)
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.analysis.linter import Finding
 #: Codes this pass owns — the waiver sweep is scoped to these.
 FLOW_CODES: Tuple[str, ...] = (
     "MAL010", "MAL011", "MAL012", "MAL013", "MAL014", "MAL015",
-    "MAL016", "MAL017",
+    "MAL016", "MAL017", "MAL018",
 )
 
 #: MAL017's contract: per daemon kind, the attribute roots that hold
@@ -286,12 +290,28 @@ def _mal017_unsanitized_mutation(ex: Extraction) -> List[Finding]:
     return out
 
 
+def _mal018_payload_edit(ex: Extraction) -> List[Finding]:
+    out: List[Finding] = []
+    for edit in ex.payload_edits:
+        if edit.by_handler:
+            message = (f"{edit.owner} edits its request payload in place "
+                       f"(`{edit.source}`); the sender may still hold it "
+                       "(a retry, a fan-out) — build a new value instead")
+        else:
+            message = (f"`{edit.name}` was posted by {edit.owner} and is "
+                       f"edited in place afterwards (`{edit.source}`); a "
+                       "posted payload belongs to the message")
+        out.append(_finding("MAL018", "payload-edit", message, edit.path,
+                            edit.line))
+    return out
+
+
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def flow_findings(ex: Extraction,
                   design_text: Optional[str] = None) -> List[Finding]:
-    """All raw MAL010-017 findings (pre-waiver), sorted."""
+    """All raw MAL010-018 findings (pre-waiver), sorted."""
     findings: List[Finding] = []
     findings.extend(_mal010_unknown_method(ex))
     findings.extend(_mal011_dead_handler(ex))
@@ -301,5 +321,6 @@ def flow_findings(ex: Extraction,
     findings.extend(_mal015_cast_consumed(ex))
     findings.extend(_mal016_undocumented_admin(ex, design_text))
     findings.extend(_mal017_unsanitized_mutation(ex))
+    findings.extend(_mal018_payload_edit(ex))
     findings.sort(key=lambda f: (f.path, f.line, f.code, f.message))
     return findings

@@ -50,12 +50,12 @@ CODE_RE = re.compile(r"MAL\d{3}$")
 #: The full MAL catalogue.  Codes are never reused; a suppression of a
 #: code outside this tuple is malformed no matter which pass runs.
 #: MAL001-008 are the file-local lint rules (plus framework hygiene),
-#: MAL010-017 the whole-program message-flow rules.
+#: MAL010-018 the whole-program message-flow rules.
 KNOWN_CODES: Tuple[str, ...] = (
     "MAL001", "MAL002", "MAL003", "MAL004", "MAL005", "MAL006",
     "MAL007", "MAL008",
     "MAL010", "MAL011", "MAL012", "MAL013", "MAL014", "MAL015",
-    "MAL016", "MAL017",
+    "MAL016", "MAL017", "MAL018",
 )
 
 #: Directive comments look like ``mal: disable=MAL001 -- reason``

@@ -192,7 +192,7 @@ class UnorderedIterationRule(Rule):
                        "set", "frozenset"}
     SET_METHODS = {"intersection", "union", "difference",
                    "symmetric_difference"}
-    EFFECTS = {"cast", "call", "broadcast", "spawn", "schedule", "send",
+    EFFECTS = {"cast", "call", "spawn", "schedule", "send",
                "choice", "sample", "shuffle", "uniform", "randint"}
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:

@@ -2,12 +2,13 @@
 
 Passive observers of the protocol invariants the paper takes for
 granted: Paxos agreement (§4.1), exclusive capability leases (§4.3.1),
-ZLog epoch fencing (§4.4), and single-owner subtree migration.  The
-daemons call tiny hook methods at the same places their telemetry
+ZLog epoch fencing (§4.4), single-owner subtree migration, and the
+simulator's own wire rule that a posted payload belongs to the message.
+The daemons call tiny hook methods at the same places their telemetry
 counters already tick; each hook only reads state and appends to
-plain lists/dicts — no RNG draws, no scheduling, no messages — so a
-sanitized run's event schedule is byte-identical to an unsanitized
-one.
+plain lists/dicts (the wire plane also stamps a digest on the
+envelope) — no RNG draws, no scheduling, no messages — so a sanitized
+run's event schedule is byte-identical to an unsanitized one.
 
 Enable per cluster with ``MalacologyCluster.build(sanitize=True)`` or
 globally with the ``MALACOLOGY_SANITIZE=1`` environment variable
@@ -24,6 +25,7 @@ message.
 from __future__ import annotations
 
 import copy
+import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Registries installed this process, newest last.  The pytest
@@ -57,7 +59,7 @@ class ProtocolViolation(AssertionError):
 
 
 class SanitizerRegistry:
-    """All four sanitizers plus shared violation reporting."""
+    """All five sanitizers plus shared violation reporting."""
 
     def __init__(self, sim: Any, raise_on_violation: bool = True):
         self.sim = sim
@@ -67,6 +69,7 @@ class SanitizerRegistry:
         self.caps = CapabilitySanitizer(self)
         self.zlog = ZLogEpochSanitizer(self)
         self.migration = MigrationSanitizer(self)
+        self.wire = WireSanitizer(self)
 
     # ------------------------------------------------------------------
     def report(self, sanitizer: str, invariant: str, message: str,
@@ -114,9 +117,9 @@ class PaxosSanitizer:
                  daemon: Any = None) -> None:
         prior = self._chosen.get(instance)
         if prior is None:
-            # Snapshot: the store mutates applied batches in place
-            # (e.g. vetting guards stamp txns), so holding a live
-            # reference would later compare a *mutated* value.
+            # Snapshot: every monitor shares the committed batch object
+            # (the wire moves it), so a live reference would follow an
+            # in-place edit by any monitor this checker is judging.
             self._chosen[instance] = (copy.deepcopy(value), mon)
         elif prior[0] != value:
             self.registry.report(
@@ -290,6 +293,53 @@ class MigrationSanitizer:
 
     def on_export_end(self, path: str, daemon: Any = None) -> None:
         self._active.pop(path, None)
+
+
+def payload_digest(value: Any) -> int:
+    """Content fingerprint of a payload: unchanged while nobody edits it."""
+    try:
+        return hash(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+    except (pickle.PicklingError, TypeError, AttributeError):
+        # Not picklable (a lambda, a test-local class): compare by text.
+        return hash(repr(value))
+
+
+class WireSanitizer:
+    """A posted payload belongs to the message; nobody edits it in flight.
+
+    ``Daemon._post`` hands the payload object itself to the receiver, so
+    the sender must not edit what it posted (it may re-send it on retry
+    or have posted it to several peers), and a handler must not edit its
+    request payload in place.  The payload is digested when posted,
+    again on delivery and again when the handler completes.  A delivered
+    response belongs to the caller and is not followed further.
+    """
+
+    def __init__(self, registry: SanitizerRegistry):
+        self.registry = registry
+
+    def on_post(self, env: Any) -> None:
+        env.wire_digest = (id(env.payload), payload_digest(env.payload))
+
+    def on_deliver(self, env: Any, daemon: Any = None) -> None:
+        self._check(env, "between send and delivery (the sender edited "
+                    "what it posted)", daemon)
+
+    def on_complete(self, env: Any, daemon: Any = None) -> None:
+        self._check(env, "while the handler ran (a handler must not edit "
+                    "its request payload in place)", daemon)
+
+    def _check(self, env: Any, when: str, daemon: Any) -> None:
+        record = env.wire_digest
+        if record is None or record[0] != id(env.payload):
+            # Posted before the plane was installed, or a copy the fault
+            # plane made (a duplicate or a corrupted frame).
+            return
+        if payload_digest(env.payload) != record[1]:
+            self.registry.report(
+                "wire", "payload-ownership",
+                f"{env.kind} {env.method!r} {env.src} -> {env.dst}: the "
+                f"payload changed {when}", daemon=daemon)
 
 
 # ----------------------------------------------------------------------

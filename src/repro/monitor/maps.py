@@ -7,7 +7,7 @@ messages to discover staleness (paper sections 4.1 and 4.4).
 
 Maps here are plain data (dicts all the way down).  ``to_dict`` copies
 the containers and shares the values under them (one pool's config, one
-interface's record); the wire (``Daemon._post``) is what deep-copies.
+interface's record), and the wire moves the dict without copying it.
 Mutation happens only in the monitor quorum's state machine, one
 committed transaction at a time, and replaces a value, never edits it,
 so a dict taken earlier stays a stable snapshot.

@@ -127,10 +127,12 @@ class MonitorStore:
         raise InvalidArgument(f"unknown monitor txn op {op!r}")
 
     def _kv_put(self, key: str, value: Any) -> int:
-        value = self._apply_guards(key, value)
+        # Copy before the guards run: every monitor applies the same
+        # committed batch object, and a guard may edit what it is given.
+        value = self._apply_guards(key, copy.deepcopy(value))
         entry = self.kv.get(key)
         version = (entry["version"] + 1) if entry else 1
-        self.kv[key] = {"value": copy.deepcopy(value), "version": version}
+        self.kv[key] = {"value": value, "version": version}
         return version
 
     def _log_append(self, entry_dict: Dict[str, Any]) -> None:

@@ -13,11 +13,16 @@ Raising a :class:`MalacologyError` (or failing the future/process with
 one) produces an error response which re-raises on the caller side with
 its wire code intact.  Any other exception is a programming error and
 propagates loudly through the simulator.
+
+The wire moves payloads rather than copying them.  What a sender passes
+to ``call`` / ``cast`` (or a handler returns) belongs to the message
+from then on: the sender must not edit it, and a handler must not edit
+its request payload in place.  A delivered response belongs to the
+caller.
 """
 
 from __future__ import annotations
 
-import copy
 from types import GeneratorType
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -169,15 +174,12 @@ class Daemon:
         """
         return self._trace_ctx
 
-    def broadcast(self, dsts: List[str], method: str,
-                  payload: Any = None) -> None:
-        for dst in dsts:
-            self.cast(dst, method, payload)
-
     def _post(self, env: Envelope) -> None:
-        # Deep-copy the payload so sender and receiver never alias
-        # mutable state; the wire is a value boundary.
-        env.payload = copy.deepcopy(env.payload)
+        # No copy: the payload now belongs to the message (see the
+        # module docstring); the sanitizers' wire plane checks that.
+        san = self.sim.sanitizers
+        if san is not None:
+            san.wire.on_post(env)
         self.stamp_epochs(env)
         self.network.send(self.name, env.dst, env)
 
@@ -196,6 +198,9 @@ class Daemon:
     def deliver(self, envelope: Envelope) -> None:
         if not self.alive:
             return  # a dead daemon drops traffic; callers time out
+        san = self.sim.sanitizers
+        if san is not None:
+            san.wire.on_deliver(envelope, daemon=self)
         self.observe_epochs(envelope)
         if envelope.kind == RESPONSE:
             self._on_response(envelope)
@@ -342,6 +347,9 @@ class Daemon:
         closes before the reply goes out, so a handler span never
         outlives the response that settles it.
         """
+        san = self.sim.sanitizers
+        if san is not None:
+            san.wire.on_complete(env, daemon=self)
         self.perf.time(f"rpc.{env.method}", self.sim.now - started)
         if error is not None:
             self.perf.incr(f"rpc.{env.method}.errors")

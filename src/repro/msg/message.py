@@ -1,10 +1,13 @@
 """Wire envelope shared by all daemon-to-daemon traffic.
 
-Payloads are plain Python objects (dicts, tuples, dataclasses).  We
-deliberately deep-copy payloads at send time (see ``Daemon._post``) so
-daemons cannot accidentally share mutable state through the "network" —
-a classic simulation bug that would make protocols look more consistent
-than they are.
+Payloads are plain Python objects (dicts, tuples, dataclasses).  They
+are not copied at send time: a posted payload belongs to the message,
+so the sender and the handler that receives it share one object and
+neither may edit it (see ``Daemon._post``).  Sharing mutable state
+through the "network" is a classic simulation bug that makes protocols
+look more consistent than they are; the sanitizers' ``wire`` plane
+digests every payload at send, delivery and handler completion and
+fails the run when it changed.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ class Envelope:
     #: epochs they know about, which is how peers discover they are
     #: stale and trigger gossip fetches (paper section 4.4).
     epochs: dict = field(default_factory=dict)
+    #: ``(id(payload), digest)`` recorded by the wire sanitizer at send
+    #: time; None when no sanitizer is installed.
+    wire_digest: Optional[Tuple[int, int]] = None
 
     def __repr__(self) -> str:
         return (f"Envelope({self.kind} {self.src}->{self.dst} "

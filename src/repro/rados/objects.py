@@ -134,8 +134,8 @@ class StoredObject:
         return other
 
     def to_dict(self) -> Dict[str, Any]:
-        """Wire form: shares values with the object; read-only for any
-        holder other than ``Daemon._post``, which deep-copies it."""
+        """Wire form: shares values with the object, so it is read-only
+        for every holder, the receiver of a message carrying it too."""
         return {
             "oid": self.oid,
             "data": bytes(self.data),

@@ -34,7 +34,7 @@ class SpanContext:
         self.span_id = span_id
 
     def wire(self) -> Dict[str, int]:
-        """Envelope encoding (plain dict: survives payload deep-copy)."""
+        """Envelope encoding (plain dict: survives an envelope copy)."""
         return {"trace": self.trace_id, "span": self.span_id}
 
     def __repr__(self) -> str:

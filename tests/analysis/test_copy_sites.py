@@ -1,9 +1,9 @@
 """Negative test: ``copy.deepcopy`` is called only where a value changes hands.
 
 The rule (DESIGN.md, "Value boundaries") is one deep copy per
-hand-over: in at a setter, out at a getter, once at the wire.
-Containers of values are copied shallowly, so a deep copy anywhere else
-is either redundant (it sits against ``Daemon._post``) or hides an
+hand-over: in at a setter, out at a getter, and none at the wire, which
+moves a payload instead of copying it.  Containers of values are copied
+shallowly, so a deep copy anywhere else is either redundant or hides an
 in-place edit that should be a replacement.  This sweep makes a new
 defensive copy a reviewed line in the table below rather than a habit:
 it fails on a call site missing from the table *and* on a table entry
@@ -17,8 +17,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: ``file::qualified function`` -> why this deep copy is the one copy.
 ALLOWED = {
-    "msg/daemon.py::Daemon._post":
-        "the wire: sender and receiver never alias a payload",
     "rados/objects.py::StoredObject.omap_set":
         "copy-in: the caller keeps no handle on the stored value",
     "rados/objects.py::StoredObject.xattr_set":
@@ -30,7 +28,8 @@ ALLOWED = {
     "rados/objects.py::StoredObject.omap_list":
         "copy-out: same as omap_get, for a scan",
     "monitor/store.py::MonitorStore._kv_put":
-        "copy-in: the committed batch stays in the Paxos log",
+        "copy-in before guards: a guard edits the copy, never the batch "
+        "every monitor shares",
     "monitor/store.py::MonitorStore.kv_get":
         "copy-out: in-process callers (guards, tests) get a value",
     "monitor/store.py::MonitorStore.kv_list":

@@ -168,7 +168,7 @@ def real_extraction():
 
 
 def test_shipped_tree_flow_is_clean():
-    """Acceptance: MAL010-017 produce no unwaived findings (and no
+    """Acceptance: MAL010-018 produce no unwaived findings (and no
     unused flow waivers) on the shipped tree."""
     from repro.analysis.__main__ import _flow_pass
 

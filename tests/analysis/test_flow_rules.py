@@ -1,4 +1,4 @@
-"""One must-flag and one must-pass case per flow rule (MAL010-017),
+"""One must-flag and one must-pass case per flow rule (MAL010-018),
 plus the waiver-scoping regression tests for MAL008.
 
 Extractions are built from in-memory sources under a fake
@@ -378,6 +378,99 @@ class OSDServer(Daemon):
         self.chosen.learn(1, "v")
 '''
     assert "MAL017" not in codes(src)
+
+
+# ----------------------------------------------------------------------
+# MAL018 in-place edit of a payload that crossed the wire
+# ----------------------------------------------------------------------
+def _mal018(source):
+    """MAL018 findings as (line within ``source``, message)."""
+    offset = BASE.count("\n")
+    return [(f.line - offset, f.message)
+            for f in flow_findings(build(source)) if f.code == "MAL018"]
+
+
+def test_mal018_flags_a_handler_editing_its_request():
+    src = '''\
+class OSDServer(Daemon):
+    def setup(self):
+        self.register_handler("osd_repop", self._h_repop)
+
+    def _h_repop(self, src, payload):
+        state = payload.get("state")
+        state["omap"]["seen"] = True
+        oid, ops = payload["oid"], payload["ops"]
+        for op in ops:
+            op.update(done=True)
+        del payload["ops"]
+        return oid
+
+class Primary(OSDServer):
+    def push(self, peer):
+        self.cast(peer, "osd_repop", {"state": {}, "oid": "o", "ops": []})
+'''
+    found = _mal018(src)
+    assert [line for line, _ in found] == [7, 10, 11]
+    assert all("handler 'osd_repop' (OSDServer._h_repop)" in message
+               for _, message in found)
+
+
+def test_mal018_passes_a_handler_that_builds_new_values():
+    src = '''\
+class OSDServer(Daemon):
+    def setup(self):
+        self.register_handler("osd_repop", self._h_repop)
+
+    def _h_repop(self, src, payload):
+        ops = list(payload["ops"])
+        ops.append({"op": "noop"})
+        payload = dict(payload)
+        payload["ops"] = ops
+        self.last[payload["oid"]] = payload
+        return True
+
+class Primary(OSDServer):
+    def push(self, peer):
+        self.cast(peer, "osd_repop", {"oid": "o", "ops": []})
+'''
+    assert _mal018(src) == []
+
+
+def test_mal018_flags_a_sender_editing_what_it_posted():
+    src = '''\
+class Monitor(Daemon):
+    def setup(self):
+        self.register_handler("mon_note", lambda src, p: p["n"])
+
+    def poke(self, peers, ops):
+        note = {"n": 1}
+        for peer in peers:
+            self.cast(peer, "mon_note", note)
+        note["n"] += 1
+        self.cast("mon0", "mon_note", {"n": 2, "ops": ops})
+        ops.append("late")
+'''
+    found = _mal018(src)
+    assert [line for line, _ in found] == [9, 11]
+    assert "`note` was posted by cast('mon_note') on line" in found[0][1]
+    assert "`ops` was posted" in found[1][1]
+
+
+def test_mal018_passes_edits_before_the_send_or_after_a_rebind():
+    src = '''\
+class Monitor(Daemon):
+    def setup(self):
+        self.register_handler("mon_note", lambda src, p: p["n"])
+
+    def poke(self, peer):
+        note = {"n": 1}
+        note["n"] += 1
+        self.cast(peer, "mon_note", note)
+        note = {"n": 3}
+        note["n"] += 1
+        self.cast(peer, "mon_note", note)
+'''
+    assert _mal018(src) == []
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,16 @@ test pins the other half of the TSan-style contract: clean runs report
 nothing.
 """
 
+import copy
 from types import SimpleNamespace
 
 import pytest
 
+import tests.integration.test_core_interfaces as core_interfaces
 from repro.analysis.sanitizers import ProtocolViolation, SanitizerRegistry
 from repro.core import MalacologyCluster
+from repro.monitor.store import MonitorStore
+from repro.rados.osd import OSD
 from repro.zlog import StripeLayout, ZLog
 
 
@@ -191,6 +195,53 @@ def test_migration_sanitizer_catches_overlapping_exports():
     san2.migration.on_import("/a", 1)
     san2.migration.on_export_end("/a")
     assert san2.violations == []
+
+
+# ----------------------------------------------------------------------
+# WireSanitizer (unit cases: tests/unit/test_msg_daemon.py)
+# ----------------------------------------------------------------------
+def test_wire_sanitizer_catches_a_replica_editing_the_repop(monkeypatch):
+    """Sabotage: a replica edits the omap of the object state it was
+    sent.  The primary posted that dict, so a replicated write fails."""
+    apply_repop = OSD._h_repop
+
+    def scribbling_repop(self, src, payload):
+        if payload["state"] is not None:
+            payload["state"]["omap"]["scribbled"] = True
+        return apply_repop(self, src, payload)
+
+    monkeypatch.setattr(OSD, "_h_repop", scribbling_repop)
+    c = build(105)
+    with pytest.raises(ProtocolViolation) as ei:
+        c.do(c.admin.rados_write_full("data", "obj", b"payload"))
+    v = ei.value
+    assert v.sanitizer == "wire"
+    assert v.invariant == "payload-ownership"
+    assert "'osd_repop'" in v.message
+
+
+def _guards_on_the_committed_batch(self, key, value):
+    """``MonitorStore._kv_put`` as it was before the copy moved ahead
+    of the guards: a guard edits the batch every monitor shares."""
+    value = self._apply_guards(key, value)
+    entry = self.kv.get(key)
+    version = (entry["version"] + 1) if entry else 1
+    self.kv[key] = {"value": copy.deepcopy(value), "version": version}
+    return version
+
+
+def test_wire_sanitizer_catches_a_guard_editing_the_batch(monkeypatch):
+    """The guard test passes sanitized (CI runs it so); with the copy
+    moved back behind the guards it must fail."""
+    monkeypatch.setattr(MonitorStore, "_kv_put",
+                        _guards_on_the_committed_batch)
+    c = MalacologyCluster.build(osds=4, mdss=1, seed=77, sanitize=True)
+    with pytest.raises(ProtocolViolation) as ei:
+        core_interfaces.test_service_metadata_guard_vets_writes(c)
+    # The leader batches the submitted txn itself, so the guard edits
+    # the admin's request while mon_submit waits for the commit.
+    assert ei.value.sanitizer == "wire"
+    assert "'mon_submit' admin -> mon" in ei.value.message
 
 
 # ----------------------------------------------------------------------

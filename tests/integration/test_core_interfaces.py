@@ -46,6 +46,24 @@ def test_service_metadata_guard_vets_writes(cluster):
     c.do(svc.put("other/app", ["anything"]))
 
 
+def test_a_counting_guard_runs_once_per_monitor(cluster):
+    """Every monitor applies the same committed batch, so a guard must
+    see its own copy of the value or the replicas diverge."""
+    c = cluster
+    svc = ServiceMetadataInterface(c.admin, cluster=c)
+
+    def count(key, value):
+        value["hits"] = value.get("hits", 0) + 1
+        return value
+
+    svc.register_guard("count/", count)
+    c.do(svc.put("count/x", {"owner": "ops"}))
+    c.run(2.0)
+    stored = [m.store.kv["count/x"]["value"] for m in c.mons]
+    assert len(stored) == 3
+    assert stored == [{"owner": "ops", "hits": 1}] * 3
+
+
 def test_durability_interface_stores_and_lists(cluster):
     c = cluster
     durability = DurabilityInterface(c.admin)

@@ -1,4 +1,4 @@
-"""Unit tests: daemon ticker semantics, broadcast, epoch piggybacking."""
+"""Unit tests: daemon ticker semantics, cast fan-out, epoch piggybacking."""
 
 import pytest
 
@@ -55,7 +55,8 @@ def test_broadcast_reaches_every_target():
                 "evt", lambda s, p: received.append((self.name, p)))
 
     sinks = [Sink(f"sink{i}") for i in range(3)]
-    src.broadcast([s.name for s in sinks], "evt", "hello")
+    for sink in sinks:
+        src.cast(sink.name, "evt", "hello")
     sim.run()
     assert sorted(received) == [("sink0", "hello"), ("sink1", "hello"),
                                 ("sink2", "hello")]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.sanitizers import ProtocolViolation, SanitizerRegistry
 from repro.errors import InvalidArgument, NotFound
 from repro.msg import Daemon, RpcTimeout
 from repro.sim import (
@@ -30,8 +31,10 @@ class EchoServer(Daemon):
         return payload["value"]
 
 
-def make_pair(latency=0.001):
+def make_pair(latency=0.001, sanitize=False):
     sim = Simulator(seed=1)
+    if sanitize:
+        sim.sanitizers = SanitizerRegistry(sim)
     net = Network(sim, latency=FixedLatency(latency))
     server = EchoServer(sim, net)
     client = Daemon(sim, net, "client")
@@ -109,13 +112,53 @@ def test_generator_handler_programming_error_is_loud(send):
         sim.run()
 
 
-def test_payloads_do_not_alias_across_the_wire():
-    sim, net, server, client = make_pair()
+@pytest.mark.parametrize("extra", [{}, {"fn": lambda: None}],
+                         ids=["picklable", "unpicklable"])
+def test_editing_a_payload_after_call_fails_at_delivery(extra):
+    """The wire moves the payload: once posted it belongs to the message."""
+    sim, net, server, client = make_pair(sanitize=True)
+    payload = {"list": [1, 2], **extra}
+    client.call("server", "echo", payload)
+    payload["list"].append(3)  # edit after send
+    with pytest.raises(ProtocolViolation,
+                       match="between send and delivery") as ei:
+        sim.run()
+    assert ei.value.sanitizer == "wire"
+    assert "'echo' client -> server" in ei.value.message
+
+
+def _edit_now(src, payload):
+    payload["seen"] = True
+    return "ok"
+
+
+def _edit_later(src, payload):
+    yield Timeout(0.5)
+    payload["seen"] = True
+    return "ok"
+
+
+@pytest.mark.parametrize("handler", [_edit_now, _edit_later],
+                         ids=["value", "generator"])
+def test_a_handler_editing_its_request_fails_at_completion(handler):
+    sim, net, server, client = make_pair(sanitize=True)
+    server.register_handler("edit", handler)
+    client.call("server", "edit", {"n": 1})
+    with pytest.raises(ProtocolViolation,
+                       match="while the handler ran") as ei:
+        sim.run()
+    assert "'edit' client -> server" in ei.value.message
+
+
+def test_the_caller_owns_a_response_it_received():
+    sim, net, server, client = make_pair(sanitize=True)
     payload = {"list": [1, 2]}
-    fut = client.call("server", "echo", payload)
-    payload["list"].append(3)  # mutate after send
-    result = sim.run_until_complete(fut)
-    assert result == {"list": [1, 2]}
+    result = sim.run_until_complete(client.call("server", "echo", payload))
+    assert result is payload  # moved there and back, never copied
+    result["list"].append(3)
+    result["mine"] = True
+    assert sim.run_until_complete(client.call("server", "echo", 7)) == 7
+    assert sim.sanitizers.violations == []
 
 
 def test_partition_blocks_traffic_and_heal_restores():
