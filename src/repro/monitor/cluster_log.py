@@ -4,13 +4,13 @@ Mantle re-uses the monitor's centralized logging so operators watch one
 stream instead of visiting every metadata server (paper section 5.1.3).
 Entries are committed through Paxos like any other monitor transaction,
 so the log is consistent across the quorum and survives monitor
-failures.
+failures.  An entry is frozen, so log transactions, tails and monitor
+snapshots all carry the entry object itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 #: Severities, lowest to highest.
 DEBUG = "DBG"
@@ -51,19 +51,6 @@ class ClusterLogEntry:
 
     def at_least(self, severity: str) -> bool:
         return _LEVELS[self.severity] >= _LEVELS[severity]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "time": self.time,
-            "severity": self.severity,
-            "who": self.who,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClusterLogEntry":
-        return cls(time=data["time"], severity=data["severity"],
-                   who=data["who"], message=data["message"])
 
     def format(self) -> str:
         return f"{self.time:10.3f} {self.severity} [{self.who}] {self.message}"

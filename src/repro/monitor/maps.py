@@ -5,12 +5,13 @@ monotonically increasing *epoch*.  Every daemon and client caches the
 maps it cares about and compares epochs piggybacked on incoming
 messages to discover staleness (paper sections 4.1 and 4.4).
 
-Maps here are plain data (dicts all the way down).  ``to_dict`` copies
-the containers and shares the values under them (one pool's config, one
-interface's record), and the wire moves the dict without copying it.
-Mutation happens only in the monitor quorum's state machine, one
-committed transaction at a time, and replaces a value, never edits it,
-so a dict taken earlier stays a stable snapshot.
+A published map is a value: one epoch names exactly one content.  The
+monitor quorum's state machine builds a successor map for each
+committed ``map_update`` (the constructors copy the containers and
+share the values under them) and publishes it only once every action
+applied, so no published map is ever edited.  The wire, every daemon's
+map cache and the monitor snapshots therefore hand the map object
+itself around.
 """
 
 from __future__ import annotations
@@ -23,25 +24,17 @@ from repro.errors import InvalidArgument, NotFound
 class ClusterMap:
     """Base class: an epoch plus subsystem-specific content.
 
-    Subclasses define ``KIND`` and their content schema.  ``to_dict`` /
-    ``from_dict`` round-trip the full state for wire transfer and for
-    durable storage in the monitor store.
+    Two maps are equal when their type and content are: monitors that
+    applied the same batches hold equal maps, not the same object.
     """
-
-    KIND = "base"
 
     def __init__(self, epoch: int = 0):
         if epoch < 0:
             raise InvalidArgument(f"negative epoch {epoch}")
         self.epoch = epoch
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.KIND, "epoch": self.epoch}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClusterMap":
-        m = cls(epoch=data["epoch"])
-        return m
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(epoch={self.epoch})"
@@ -53,8 +46,6 @@ class MonMap(ClusterMap):
     Fixed for the lifetime of a simulation (monitor membership changes
     are out of the paper's scope); still versioned for uniformity.
     """
-
-    KIND = "mon"
 
     def __init__(self, epoch: int = 0, mons: Optional[List[str]] = None):
         super().__init__(epoch)
@@ -69,15 +60,6 @@ class MonMap(ClusterMap):
             return self.mons.index(name)
         except ValueError:
             raise NotFound(f"{name} not in monmap") from None
-
-    def to_dict(self) -> Dict[str, Any]:
-        d = super().to_dict()
-        d["mons"] = list(self.mons)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MonMap":
-        return cls(epoch=data["epoch"], mons=list(data["mons"]))
 
 
 class OSDMap(ClusterMap):
@@ -95,8 +77,6 @@ class OSDMap(ClusterMap):
       sections 4.2 and 4.4).  Embedding only a reference keeps maps
       small, per the guidance that monitor values stay compact.
     """
-
-    KIND = "osd"
 
     def __init__(self, epoch: int = 0,
                  osds: Optional[Dict[str, str]] = None,
@@ -124,19 +104,6 @@ class OSDMap(ClusterMap):
             raise NotFound(f"pool {name!r} does not exist")
         return self.pools[name]
 
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        d = super().to_dict()
-        d["osds"] = dict(self.osds)
-        d["pools"] = dict(self.pools)
-        d["interfaces"] = dict(self.interfaces)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "OSDMap":
-        return cls(epoch=data["epoch"], osds=data["osds"],
-                   pools=data["pools"], interfaces=data["interfaces"])
-
 
 class MDSMap(ClusterMap):
     """Metadata-server cluster state.
@@ -146,8 +113,6 @@ class MDSMap(ClusterMap):
     version names a RADOS object holding the policy source), and the
     lease policy knobs for the Shared Resource interface.
     """
-
-    KIND = "mds"
 
     def __init__(self, epoch: int = 0,
                  ranks: Optional[Dict[int, str]] = None,
@@ -198,41 +163,9 @@ class MDSMap(ClusterMap):
     def active_ranks(self) -> List[int]:
         return sorted(self.ranks)
 
-    def to_dict(self) -> Dict[str, Any]:
-        d = super().to_dict()
-        d["ranks"] = dict(self.ranks)
-        d["state"] = dict(self.state)
-        d["balancer_version"] = self.balancer_version
-        d["lease_policy"] = dict(self.lease_policy)
-        d["routing_mode"] = self.routing_mode
-        d["subtrees"] = dict(self.subtrees)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MDSMap":
-        return cls(epoch=data["epoch"], ranks=data["ranks"],
-                   state=data["state"],
-                   balancer_version=data["balancer_version"],
-                   lease_policy=data["lease_policy"],
-                   routing_mode=data["routing_mode"],
-                   subtrees=data["subtrees"])
-
 
 def _path_has_prefix(path: str, prefix: str) -> bool:
     """Component-wise prefix test: "/a" covers "/a/b" but not "/ab"."""
     if prefix == "/":
         return True
     return path == prefix or path.startswith(prefix + "/")
-
-
-#: kind -> class, for generic map hydration on clients.
-MAP_CLASSES = {cls.KIND: cls for cls in (MonMap, OSDMap, MDSMap)}
-
-
-def map_from_dict(data: Dict[str, Any]) -> ClusterMap:
-    """Hydrate any map snapshot received over the wire."""
-    kind = data.get("kind")
-    cls = MAP_CLASSES.get(kind)
-    if cls is None:
-        raise InvalidArgument(f"unknown map kind {kind!r}")
-    return cls.from_dict(data)

@@ -27,11 +27,13 @@ from repro.errors import (
     TimeoutError_,
 )
 from repro.monitor.cluster_log import ClusterLogEntry, INFO
+from repro.monitor.maps import ClusterMap
 from repro.monitor.paxos import (
     Acceptor,
     ChosenLog,
     LeaderBook,
     NO_PROPOSAL,
+    PrepareReply,
     Proposal,
     ProposalId,
 )
@@ -232,14 +234,14 @@ class Monitor(Daemon):
                 for p in self.mon_names if p != self.name]
         for fut in futs:
             try:
-                raw = yield fut
+                rep = yield fut
             except MalacologyError:
                 continue
-            if not raw["ok"]:
+            if not rep.ok:
                 self.max_term_seen = max(self.max_term_seen,
-                                         raw["promised"][0])
+                                         rep.promised[0])
                 return
-            replies.append(raw_to_reply(raw))
+            replies.append(rep)
         if len(replies) < self.store.monmap.quorum_size:
             return
         # Adopt the highest-pid accepted value for every open instance.
@@ -344,22 +346,14 @@ class Monitor(Daemon):
         finally:
             self._inflight_instance = None
 
-    def _h_prepare(self, src: str, payload: Dict[str, Any]) -> Dict:
-        pid = tuple(payload["pid"])
+    def _h_prepare(self, src: str, payload: Dict[str, Any]) -> PrepareReply:
+        pid = payload["pid"]
         self.max_term_seen = max(self.max_term_seen, pid[0])
-        rep = self.acceptor.handle_prepare(pid, payload["start"])
-        return {
-            "ok": rep.ok,
-            "promised": list(rep.promised),
-            "accepted": {i: [list(p), v]
-                         for i, (p, v) in rep.accepted.items()},
-        }
+        return self.acceptor.handle_prepare(pid, payload["start"])
 
     def _h_accept(self, src: str, payload: Dict[str, Any]) -> bool:
-        pid = tuple(payload["pid"])
-        ok = self.acceptor.handle_accept(
-            Proposal(payload["instance"], pid, payload["value"]))
-        return ok
+        return self.acceptor.handle_accept(
+            Proposal(payload["instance"], payload["pid"], payload["value"]))
 
     def _h_commit(self, src: str, payload: Dict[str, Any]) -> None:
         san = self.sim.sanitizers
@@ -446,8 +440,7 @@ class Monitor(Daemon):
             for kind in sorted(kinds & wanted):
                 m = self.store.get_map(kind)
                 self.cast(sub, "map_notify",
-                          {"kind": kind, "epoch": m.epoch,
-                           "map": m.to_dict()})
+                          {"kind": kind, "epoch": m.epoch, "map": m})
         if "osd" in kinds and self.is_leader:
             m = self.store.osdmap
             up = [o for o in m.up_osds() if o not in self.subscribers]
@@ -456,8 +449,7 @@ class Monitor(Daemon):
                 sample = rng.sample(up, min(self.OSD_PUSH_SAMPLE, len(up)))
                 for osd in sample:
                     self.cast(osd, "map_notify",
-                              {"kind": "osd", "epoch": m.epoch,
-                               "map": m.to_dict()})
+                              {"kind": "osd", "epoch": m.epoch, "map": m})
 
     # ------------------------------------------------------------------
     # Client API handlers
@@ -491,8 +483,8 @@ class Monitor(Daemon):
             if f.failed else results_fut.resolve_if_pending(f.result()))
         return results_fut
 
-    def _h_get_map(self, src: str, payload: Dict[str, Any]) -> Dict:
-        return self.store.get_map(payload["kind"]).to_dict()
+    def _h_get_map(self, src: str, payload: Dict[str, Any]) -> ClusterMap:
+        return self.store.get_map(payload["kind"])
 
     def _h_kv_get(self, src: str, payload: Dict[str, Any]) -> Dict:
         return self.store.kv_get(payload["key"])
@@ -500,9 +492,9 @@ class Monitor(Daemon):
     def _h_kv_list(self, src: str, payload: Dict[str, Any]) -> Dict:
         return self.store.kv_list(payload.get("prefix", ""))
 
-    def _h_log_tail(self, src: str, payload: Dict[str, Any]) -> List:
-        return [e.to_dict()
-                for e in self.store.log_tail(payload.get("count", 100))]
+    def _h_log_tail(self, src: str,
+                    payload: Dict[str, Any]) -> List[ClusterLogEntry]:
+        return self.store.log_tail(payload.get("count", 100))
 
     def _h_subscribe(self, src: str, payload: Dict[str, Any]) -> bool:
         kinds = set(payload["kinds"])
@@ -521,7 +513,7 @@ class Monitor(Daemon):
                                 who=f"mon.{self.name}", message=message)
         if self.is_leader:
             self._pending_txns.append(
-                ({"op": "log", "entry": entry.to_dict()}, Future()))
+                ({"op": "log", "entry": entry}, Future()))
 
     # ------------------------------------------------------------------
     # Crash / restart semantics
@@ -549,18 +541,6 @@ class Monitor(Daemon):
         self._start_loops()
 
 
-def raw_to_reply(raw: Dict[str, Any]):
-    """Rehydrate a PrepareReply that crossed the wire as plain dicts."""
-    from repro.monitor.paxos import PrepareReply
-
-    return PrepareReply(
-        ok=raw["ok"],
-        promised=tuple(raw["promised"]),
-        accepted={int(i): (tuple(pv[0]), pv[1])
-                  for i, pv in raw["accepted"].items()},
-    )
-
-
 class MonitorClient:
     """Mixin for daemons/clients that talk to the monitor quorum.
 
@@ -583,10 +563,8 @@ class MonitorClient:
         kind = payload["kind"]
         cached = self.cached_maps.get(kind)
         if cached is None or payload["epoch"] > cached.epoch:
-            from repro.monitor.maps import map_from_dict
-
-            self.cached_maps[kind] = map_from_dict(payload["map"])
-            self.on_map_update(kind, self.cached_maps[kind])
+            self.cached_maps[kind] = payload["map"]
+            self.on_map_update(kind, payload["map"])
 
     def on_map_update(self: Any, kind: str, new_map: Any) -> None:
         """Hook: subclasses react to fresh maps."""
@@ -632,10 +610,7 @@ class MonitorClient:
         return entries
 
     def mon_get_map(self: Any, kind: str) -> Generator:
-        from repro.monitor.maps import map_from_dict
-
-        raw = yield from self.mon_request("mon_get_map", {"kind": kind})
-        m = map_from_dict(raw)
+        m = yield from self.mon_request("mon_get_map", {"kind": kind})
         cached = self.cached_maps.get(kind)
         if cached is None or m.epoch > cached.epoch:
             self.cached_maps[kind] = m
@@ -644,8 +619,7 @@ class MonitorClient:
     def mon_log(self: Any, severity: str, message: str) -> Generator:
         entry = ClusterLogEntry(time=self.sim.now, severity=severity,
                                 who=self.name, message=message)
-        yield from self.mon_submit([{"op": "log",
-                                     "entry": entry.to_dict()}])
+        yield from self.mon_submit([{"op": "log", "entry": entry}])
 
     def mon_subscribe(self: Any, kinds: List[str]) -> Generator:
         # Subscribe on every monitor so notifications survive any single

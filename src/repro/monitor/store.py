@@ -8,10 +8,14 @@ Transactions:
     Service-metadata write; bumps the key's version.
 ``{"op": "kv_del", "key": k}``
 ``{"op": "map_update", "kind": "osd"|"mds", "actions": [...]}``
-    Structured delta against a cluster map; bumps the map epoch once
-    per transaction regardless of how many actions it carries.
-``{"op": "log", "entry": {...}}``
-    Centralized cluster-log append (paper section 5.1.3).
+    Structured delta against a cluster map.  Each transaction builds one
+    successor map at the next epoch, however many actions it carries,
+    and publishes it only if every action applies: a failed transaction
+    leaves the map as it was, and a published map is never edited, so
+    subscribers, caches and snapshots share it without copying.
+``{"op": "log", "entry": ClusterLogEntry}``
+    Centralized cluster-log append (paper section 5.1.3); the frozen
+    entry itself is stored, tailed and snapshotted.
 """
 
 from __future__ import annotations
@@ -135,8 +139,7 @@ class MonitorStore:
         self.kv[key] = {"value": value, "version": version}
         return version
 
-    def _log_append(self, entry_dict: Dict[str, Any]) -> None:
-        entry = ClusterLogEntry.from_dict(entry_dict)
+    def _log_append(self, entry: ClusterLogEntry) -> None:
         self.cluster_log.append(entry)
         if len(self.cluster_log) > self.MAX_LOG_ENTRIES:
             del self.cluster_log[: len(self.cluster_log) // 2]
@@ -145,16 +148,18 @@ class MonitorStore:
     # Map deltas
     # ------------------------------------------------------------------
     def _map_update(self, kind: str, actions: List[Dict[str, Any]]) -> int:
+        # The successor is published only after every action applied.
         if kind == "osd":
-            new_epoch = self._update_osdmap(actions)
-        elif kind == "mds":
-            new_epoch = self._update_mdsmap(actions)
-        else:
-            raise InvalidArgument(f"cannot update map kind {kind!r}")
-        return new_epoch
+            self.osdmap = self._next_osdmap(actions)
+            return self.osdmap.epoch
+        if kind == "mds":
+            self.mdsmap = self._next_mdsmap(actions)
+            return self.mdsmap.epoch
+        raise InvalidArgument(f"cannot update map kind {kind!r}")
 
-    def _update_osdmap(self, actions: List[Dict[str, Any]]) -> int:
-        m = self.osdmap
+    def _next_osdmap(self, actions: List[Dict[str, Any]]) -> OSDMap:
+        cur = self.osdmap
+        m = OSDMap(cur.epoch + 1, cur.osds, cur.pools, cur.interfaces)
         for act in actions:
             what = act["action"]
             if what == "set_osd_state":
@@ -203,11 +208,12 @@ class MonitorStore:
                 m.interfaces.pop(act["name"], None)
             else:
                 raise InvalidArgument(f"unknown osdmap action {what!r}")
-        m.epoch += 1
-        return m.epoch
+        return m
 
-    def _update_mdsmap(self, actions: List[Dict[str, Any]]) -> int:
-        m = self.mdsmap
+    def _next_mdsmap(self, actions: List[Dict[str, Any]]) -> MDSMap:
+        cur = self.mdsmap
+        m = MDSMap(cur.epoch + 1, cur.ranks, cur.state, cur.balancer_version,
+                   cur.lease_policy, cur.routing_mode, cur.subtrees)
         for act in actions:
             what = act["action"]
             if what == "set_rank":
@@ -232,25 +238,25 @@ class MonitorStore:
                     m.subtrees.pop(act["path"], None)
             else:
                 raise InvalidArgument(f"unknown mdsmap action {what!r}")
-        m.epoch += 1
-        return m.epoch
+        return m
 
     # ------------------------------------------------------------------
     # Snapshots (for monitor restart)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
+        """Share the published maps and log entries; copy the containers
+        this store keeps editing (the kv index and the log list)."""
         return {
-            "monmap": self.monmap.to_dict(),
-            "osdmap": self.osdmap.to_dict(),
-            "mdsmap": self.mdsmap.to_dict(),
+            "monmap": self.monmap,
+            "osdmap": self.osdmap,
+            "mdsmap": self.mdsmap,
             "kv": dict(self.kv),
-            "log": [e.to_dict() for e in self.cluster_log],
+            "log": list(self.cluster_log),
         }
 
     def restore(self, snap: Dict[str, Any]) -> None:
-        self.monmap = MonMap.from_dict(snap["monmap"])
-        self.osdmap = OSDMap.from_dict(snap["osdmap"])
-        self.mdsmap = MDSMap.from_dict(snap["mdsmap"])
+        self.monmap = snap["monmap"]
+        self.osdmap = snap["osdmap"]
+        self.mdsmap = snap["mdsmap"]
         self.kv = dict(snap["kv"])
-        self.cluster_log = [
-            ClusterLogEntry.from_dict(d) for d in snap["log"]]
+        self.cluster_log = list(snap["log"])

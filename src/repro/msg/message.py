@@ -1,13 +1,15 @@
 """Wire envelope shared by all daemon-to-daemon traffic.
 
-Payloads are plain Python objects (dicts, tuples, dataclasses).  They
-are not copied at send time: a posted payload belongs to the message,
-so the sender and the handler that receives it share one object and
-neither may edit it (see ``Daemon._post``).  Sharing mutable state
-through the "network" is a classic simulation bug that makes protocols
-look more consistent than they are; the sanitizers' ``wire`` plane
-digests every payload at send, delivery and handler completion and
-fails the run when it changed.
+Payloads are plain Python objects: dicts and tuples, plus the system's
+own values, which cross as themselves with no codec (cluster maps,
+committed ``StoredObject``s, Paxos ``PrepareReply``s, cluster-log
+entries).  Nothing is copied at send time: a posted payload belongs to
+the message, so the sender and the handler that receives it share one
+object and neither may edit it (see ``Daemon._post``).  Sharing
+mutable state through the "network" is a classic simulation bug that
+makes protocols look more consistent than they are; the sanitizers'
+``wire`` plane digests every payload at send, delivery and handler
+completion and fails the run when it changed.
 """
 
 from __future__ import annotations

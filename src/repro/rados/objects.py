@@ -20,10 +20,12 @@ MAX_OBJECT_SIZE = 64 * 1024 * 1024
 
 
 class StoredObject:
-    """One object replica's full state.
+    """One object's full state at one version.
 
     ``version`` counts mutations (like Ceph's per-object version) and
-    is what scrub compares across replicas.
+    is what scrub compares across replicas.  An object handed to a store
+    is never edited again (a mutation works on a ``clone``), so the
+    replicas of one write share the object the primary committed.
     """
 
     __slots__ = ("oid", "data", "omap", "xattrs", "version")
@@ -134,8 +136,11 @@ class StoredObject:
         return other
 
     def to_dict(self) -> Dict[str, Any]:
-        """Wire form: shares values with the object, so it is read-only
-        for every holder, the receiver of a message carrying it too."""
+        """Plain-dict form that shares values with the object, so it is
+        read-only for every holder.  Nothing in ``repro`` calls it: the
+        OSDs hand committed objects to each other by reference.  It stays
+        for the ``rados.obj_to_dict_1k_ns`` / ``obj_from_dict_1k_ns`` and
+        ``msg.call_rtt_state_ns`` micro-benchmark rows that measure it."""
         return {
             "oid": self.oid,
             "data": bytes(self.data),

@@ -29,7 +29,7 @@ from repro.errors import (
     NotPrimary,
     TimeoutError_,
 )
-from repro.monitor.maps import OSDMap, map_from_dict
+from repro.monitor.maps import OSDMap
 from repro.monitor.monitor import MonitorClient
 from repro.msg import Daemon, Envelope
 from repro.objclass.bundled import register_all
@@ -162,7 +162,7 @@ class OSD(Daemon, MonitorClient):
                          "state": "up"}]}])
         # Fetch the post-boot map so we see ourselves up.
         m = yield from self.mon_get_map("osd")
-        self._adopt_osdmap(m)
+        self._react_to_new_map(m)
         self.booted = True
         self.every(self.PING_INTERVAL, self._ping_tick,
                    name=f"{self.name}:ping")
@@ -192,16 +192,17 @@ class OSD(Daemon, MonitorClient):
 
     def _pull_map(self, peer: str) -> Generator:
         try:
-            raw = yield self.call(peer, "osd_map_push", None, timeout=0.5)
+            m = yield self.call(peer, "osd_map_push", None, timeout=0.5)
         except MalacologyError:
             return
-        if raw is not None:
-            self._maybe_adopt(raw)
+        if m is not None:
+            self._maybe_adopt(m)
 
-    def _h_map_push(self, src: str, payload: Any) -> Optional[Dict]:
+    def _h_map_push(self, src: str,
+                    payload: Optional[OSDMap]) -> Optional[OSDMap]:
         """Both a getter (payload None) and a push (payload = map)."""
         if payload is None:
-            return self.osdmap.to_dict() if self.osdmap else None
+            return self.osdmap
         self._maybe_adopt(payload)
         return None
 
@@ -211,15 +212,11 @@ class OSD(Daemon, MonitorClient):
         if kind == "osd":
             self._react_to_new_map(new_map)
 
-    def _maybe_adopt(self, raw: Dict[str, Any]) -> None:
-        m = map_from_dict(raw)
+    def _maybe_adopt(self, m: OSDMap) -> None:
         current = self.osdmap
         if current is None or m.epoch > current.epoch:
             self.cached_maps["osd"] = m
-            self._adopt_osdmap(m)
-
-    def _adopt_osdmap(self, m: OSDMap) -> None:
-        self._react_to_new_map(m)
+            self._react_to_new_map(m)
 
     def _react_to_new_map(self, m: OSDMap) -> None:
         self._gossip_map(m)
@@ -241,7 +238,7 @@ class OSD(Daemon, MonitorClient):
                 "actions": [{"action": "set_osd_state",
                              "name": self.name, "state": "up"}]}])
             m = yield from self.mon_get_map("osd")
-            self._adopt_osdmap(m)
+            self._react_to_new_map(m)
         except MalacologyError:
             pass  # map flow will trigger another attempt
         finally:
@@ -259,7 +256,7 @@ class OSD(Daemon, MonitorClient):
             # osd_map_push is dual-use: MonitorClient call()s it to
             # fetch a map (reply consumed), gossip cast()s it to push
             # one (reply meaningless by design).
-            self.cast(peer, "osd_map_push", m.to_dict())  # mal: disable=MAL015 -- dual getter/push handler; gossip needs no reply
+            self.cast(peer, "osd_map_push", m)  # mal: disable=MAL015 -- dual getter/push handler; gossip needs no reply
 
     # ------------------------------------------------------------------
     # Dynamic interface installation (Data I/O interface)
@@ -526,7 +523,7 @@ class OSD(Daemon, MonitorClient):
             return
         payload = {
             "pool": pool, "pg": pgid, "oid": oid,
-            "state": None if removed else new_obj.to_dict(),
+            "state": None if removed else new_obj,
             "removed": removed,
         }
         self.perf.incr("repop.tx", len(replicas))
@@ -557,8 +554,7 @@ class OSD(Daemon, MonitorClient):
         if payload["removed"]:
             delay = store.discard(payload["oid"])
         else:
-            delay = store.commit(
-                StoredObject.from_dict(payload["state"]))
+            delay = store.commit(payload["state"])
         if delay > 0:
             # Non-default backends charge their write cost before the
             # ack; MemStore returns 0.0 and the reply stays synchronous.
@@ -594,11 +590,7 @@ class OSD(Daemon, MonitorClient):
             if not objects:
                 continue
             targets = [o for o in acting if o != self.name]
-            payload = {
-                "pool": pool, "pg": pgid,
-                "objects": {oid: obj.to_dict()
-                            for oid, obj in objects.items()},
-            }
+            payload = {"pool": pool, "pg": pgid, "objects": dict(objects)}
             acked = True
             for target in targets:
                 try:
@@ -663,8 +655,7 @@ class OSD(Daemon, MonitorClient):
         self.perf.incr("recovery.rx")
         pg = self._pg_store(payload["pool"], payload["pg"])
         force = payload.get("force", False)
-        for oid, state in payload["objects"].items():
-            incoming = StoredObject.from_dict(state)
+        for oid, incoming in payload["objects"].items():
             current = pg.get(oid)
             # Normal backfill merges by version; scrub repair forces the
             # primary's state in (silent corruption keeps the version).
@@ -907,12 +898,8 @@ class OSD(Daemon, MonitorClient):
                 yield from self._repair_replica(pool, pgid, rep)
 
     def _repair_replica(self, pool: str, pgid: int, rep: str) -> Generator:
-        payload = {
-            "pool": pool, "pg": pgid, "force": True,
-            "objects": {oid: obj.to_dict()
-                        for oid, obj in self.pgs.get((pool, pgid),
-                                                     {}).items()},
-        }
+        payload = {"pool": pool, "pg": pgid, "force": True,
+                   "objects": dict(self.pgs.get((pool, pgid), {}))}
         try:
             yield self.call(rep, "pg_push", payload,
                             timeout=self.REPOP_TIMEOUT)

@@ -340,8 +340,11 @@ class FailureInjector:
         """Flip one bit somewhere in the payload (undetected corruption).
 
         Works on a deep copy; integers, floats, strings, and bytes
-        leaves are all fair game.  If the payload has no mutable leaf
-        the message id is flipped instead — still a corrupt frame.
+        leaves are all fair game.  The walk enters dicts, lists and
+        tuples only: any other object (a cluster map, a stored object)
+        is an opaque leaf it leaves alone.  If the payload has no
+        flippable leaf the message id is flipped instead — still a
+        corrupt frame.
         """
         mangled = copy.deepcopy(envelope)
 

@@ -177,7 +177,8 @@ def watch_committed_objects() -> Iterator[Callable[[], List[str]]]:
     ``__setitem__`` is kept with its ``digest()``.  The yielded function
     re-digests them all, superseded versions included, and returns one
     line per object whose content moved.  That property is what lets
-    ``clone`` / ``to_dict`` / ``from_dict`` share values, not copy them.
+    ``clone`` share values, not copy them, and lets OSDs hand a committed
+    object to replicas and recovery targets by reference.
     """
     seen: Dict[int, Tuple[StoredObject, str]] = {}  # id -> (obj, digest)
 

@@ -201,13 +201,14 @@ def test_migration_sanitizer_catches_overlapping_exports():
 # WireSanitizer (unit cases: tests/unit/test_msg_daemon.py)
 # ----------------------------------------------------------------------
 def test_wire_sanitizer_catches_a_replica_editing_the_repop(monkeypatch):
-    """Sabotage: a replica edits the omap of the object state it was
-    sent.  The primary posted that dict, so a replicated write fails."""
+    """Sabotage: a replica edits the omap of the object it was sent.
+    The primary posted the object it committed, so a replicated write
+    fails."""
     apply_repop = OSD._h_repop
 
     def scribbling_repop(self, src, payload):
         if payload["state"] is not None:
-            payload["state"]["omap"]["scribbled"] = True
+            payload["state"].omap["scribbled"] = True
         return apply_repop(self, src, payload)
 
     monkeypatch.setattr(OSD, "_h_repop", scribbling_repop)

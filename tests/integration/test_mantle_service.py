@@ -60,7 +60,7 @@ def test_broken_policy_is_rejected_and_logged_centrally():
     # Balancers keep running (no crash) with no policy loaded.
     assert all(m.balancer.policy is None for m in c.mdss)
     tail = c.do(c.admin.mon_request("mon_log_tail", {"count": 50}))
-    assert any("rejected" in e["message"] and e["severity"] == "ERR"
+    assert any("rejected" in e.message and e.severity == "ERR"
                for e in tail)
 
 
@@ -71,7 +71,7 @@ def test_policy_runtime_fault_logged_not_fatal():
     c.do(lb.publish_policy("v-faulty", source))
     c.run(25.0)
     tail = c.do(c.admin.mon_request("mon_log_tail", {"count": 50}))
-    assert any("mantle policy" in e["message"] for e in tail)
+    assert any("mantle policy" in e.message for e in tail)
     assert all(m.alive for m in c.mdss)
 
 

@@ -55,8 +55,12 @@ def test_scrub_repairs_silent_corruption():
     osdmap = c.mons[0].store.osdmap
     pgid, acting = locate(osdmap, "data", "scrubbed")
     replica = next(o for o in c.osds if o.name == acting[1])
-    # Corrupt the replica silently (bit rot).
-    replica.pgs[("data", pgid)]["scrubbed"].data[0:5] = b"dirty"
+    # Corrupt the replica silently (bit rot).  Replicas share the object
+    # the primary committed, so rot a copy and store that, as
+    # StoreFaultPlane.flip_bit does: no version bump, no delay.
+    rotted = replica.pgs[("data", pgid)]["scrubbed"].clone()
+    rotted.data[0:5] = b"dirty"
+    replica.pgs[("data", pgid)]["scrubbed"] = rotted
     # Scrub runs every SCRUB_INTERVAL (30 s); give it two cycles since it
     # round-robins one PG per tick.
     deadline = c.sim.now + 30.0 * (len(replica.pgs) + len(c.osds[0].pgs) + 2)

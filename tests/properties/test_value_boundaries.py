@@ -4,9 +4,10 @@ The rule under test (DESIGN.md, "Value boundaries"): a *value* — what
 sits under one omap key, xattr key, mon-kv key, pool name or interface
 name — is replaced, never edited in place.  So a value is deep-copied
 in at the setter and out at the getter, and the *containers* of values
-(``clone``, ``to_dict``/``from_dict``, ColdStore thaw/freeze, monitor
-snapshot/restore) are only ever copied shallowly.  Three properties pin
-the two halves:
+(``clone``, ``to_dict``/``from_dict``, ColdStore thaw/freeze) are only
+ever copied shallowly.  A cluster map is itself a value: each
+``map_update`` builds a successor, so published maps are shared, never
+copied.  Four properties pin the rule:
 
 * no op list — native ops over nested values, ``exec`` of every
   bundled class, succeeding or raising — changes an object it did not
@@ -14,7 +15,9 @@ the two halves:
 * scribbling over anything a getter returned or a setter was given
   never reaches the object or the monitor store;
 * shallow copies are independent at key level: adding, deleting or
-  replacing a key on one side is invisible to the other.
+  replacing a key on one side is invisible to the other;
+* no map the monitor store published, and no snapshot it gave out,
+  changes afterwards, whether later transactions apply or fail.
 """
 
 import copy
@@ -22,7 +25,6 @@ import copy
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import MalacologyError
-from repro.monitor.maps import map_from_dict
 from repro.monitor.store import MonitorStore
 from repro.objclass.bundled import BUNDLED_CLASSES, register_all
 from repro.objclass.registry import ClassRegistry
@@ -197,47 +199,89 @@ def test_object_copies_are_independent_at_key_level(omap, xattrs):
 
 pool_cfgs = st.fixed_dictionaries({"size": st.integers(1, 3),
                                    "pg_num": st.sampled_from([8, 16])})
+#: Map actions over small domains, so that a txn which fails part-way
+#: (an existing pool, a missing pool, a bad mode, an unknown action)
+#: comes up as often as one that applies.
+osd_actions = st.one_of(
+    st.fixed_dictionaries({"action": st.just("set_osd_state"),
+                           "name": keys, "state": st.sampled_from(
+                               ["up", "down"])}),
+    st.builds(lambda name, cfg: {"action": "create_pool", "name": name,
+                                 **cfg}, keys, pool_cfgs),
+    st.fixed_dictionaries({"action": st.just("set_pool_pg_num"),
+                           "name": keys, "pg_num": st.just(64)}),
+    st.fixed_dictionaries({"action": st.just("set_interface"), "name": keys,
+                           "version": small,
+                           "source": st.just("METHODS = {}")}),
+    st.fixed_dictionaries({"action": st.just("remove_interface"),
+                           "name": keys}),
+    st.just({"action": "warp"}),
+)
+mds_actions = st.one_of(
+    st.fixed_dictionaries({"action": st.just("set_rank"), "rank": small,
+                           "name": keys}),
+    st.fixed_dictionaries({"action": st.just("remove_rank"),
+                           "rank": small}),
+    st.fixed_dictionaries({"action": st.just("set_state"), "name": keys,
+                           "state": st.sampled_from(["up", "down"])}),
+    st.fixed_dictionaries({"action": st.just("set_balancer_version"),
+                           "version": keys}),
+    st.fixed_dictionaries({"action": st.just("set_lease_policy"),
+                           "policy": st.fixed_dictionaries(
+                               {"mode": st.just("quota"),
+                                "quota": small})}),
+    st.fixed_dictionaries({"action": st.just("set_routing_mode"),
+                           "mode": st.sampled_from(
+                               ["client", "proxy", "bogus"])}),
+    st.fixed_dictionaries({"action": st.just("set_subtree_auth"),
+                           "path": st.sampled_from(["/", "/a", "/a/b"]),
+                           "rank": small}),
+    st.fixed_dictionaries({"action": st.just("remove_subtree_auth"),
+                           "path": st.sampled_from(["/", "/a"])}),
+)
+mon_txns = st.one_of(
+    st.builds(lambda acts: {"op": "map_update", "kind": "osd",
+                            "actions": acts},
+              st.lists(osd_actions, min_size=1, max_size=4)),
+    st.builds(lambda acts: {"op": "map_update", "kind": "mds",
+                            "actions": acts},
+              st.lists(mds_actions, min_size=1, max_size=4)),
+    st.fixed_dictionaries({"op": st.just("kv_put"), "key": keys,
+                           "value": values}),
+)
 
 
-@given(st.dictionaries(keys, pool_cfgs, min_size=1, max_size=3),
-       st.dictionaries(keys, values, max_size=3))
-@example({"p": {"size": 2, "pg_num": 8}}, {})  # was test_maps_are_value_copies
-@settings(max_examples=100, deadline=None)
-def test_map_and_snapshot_copies_are_independent_at_key_level(pools, kv):
+@given(st.lists(st.lists(mon_txns, min_size=1, max_size=4),
+                min_size=1, max_size=5))
+# A txn failing after a first action applied: osd.9 must not stay up.
+@example([[{"op": "map_update", "kind": "osd", "actions": [
+    {"action": "create_pool", "name": "p"}]}],
+          [{"op": "map_update", "kind": "osd", "actions": [
+              {"action": "set_osd_state", "name": "osd.9", "state": "up"},
+              {"action": "create_pool", "name": "p"}]}]])
+@settings(max_examples=150, deadline=None)
+def test_a_published_map_is_never_edited(batches):
+    """Whatever later batches do, applying or failing, every map the
+    store published and every snapshot it gave out keep their content:
+    one epoch names one map, shared by the wire, caches and snapshots."""
     mon = MonitorStore(["m0"])
-    mon.apply_batch(
-        [{"op": "map_update", "kind": "osd", "actions": [
-            {"action": "set_osd_state", "name": "osd0", "state": "up"},
-            {"action": "set_interface", "name": "cls", "version": 1,
-             "source": "METHODS = {}"}]
-            + [{"action": "create_pool", "name": n, **cfg}
-               for n, cfg in pools.items()]},
-         {"op": "map_update", "kind": "mds", "actions": [
-             {"action": "set_lease_policy",
-              "policy": {"mode": "quota", "quota": 10}}]}]
-        + [{"op": "kv_put", "key": k, "value": v} for k, v in kv.items()])
-    before = copy.deepcopy(mon.snapshot())
+    maps, snaps = [], []  # (object, deep copy of its content when taken)
+    for batch in batches:
+        for m in (mon.osdmap, mon.mdsmap):
+            maps.append((m, copy.deepcopy(vars(m))))
+        snap = mon.snapshot()
+        snaps.append((snap, copy.deepcopy(snap)))
+        mon.apply_batch(batch)
+        for m, content in maps:
+            assert vars(m) == content, f"{m!r} was edited after publishing"
+        for snap, content in snaps:
+            assert snap == content
 
-    for m in (mon.osdmap, mon.mdsmap):
-        again = map_from_dict(m.to_dict())
-        assert type(again) is type(m) and again.to_dict() == m.to_dict()
-        for field in list(vars(again).values()) + list(m.to_dict().values()):
-            if isinstance(field, dict):
-                _edit_keys(field)
-    assert mon.snapshot() == before
-
+    # A restored store shares the maps and then publishes its own.
     other = MonitorStore(["m0"])
-    other.restore(mon.snapshot())
-    assert other.snapshot() == before
-    _edit_keys(other.kv)
-    _edit_keys(other.osdmap.pools)
-    assert mon.snapshot() == before
-
-    # The one action that changes part of a stored value replaces the
-    # value, so a map dict taken earlier stays a stable snapshot.
-    taken = mon.osdmap.to_dict()
-    name = sorted(pools)[0]
-    mon.apply_batch([{"op": "map_update", "kind": "osd", "actions": [
-        {"action": "set_pool_pg_num", "name": name, "pg_num": 64}]}])
-    assert mon.osdmap.pool(name)["pg_num"] == 64
-    assert taken == before["osdmap"]
+    first, content = snaps[0]
+    other.restore(first)
+    for batch in batches:
+        other.apply_batch(batch)
+    assert first == content
+    assert other.snapshot() == mon.snapshot()

@@ -53,7 +53,10 @@ def test_at_least_filtering():
 
 def test_entry_round_trip_and_format():
     e = entry(12.5, WARN, who="mgr0", message="OSD_DOWN: 1 osds down")
-    assert ClusterLogEntry.from_dict(e.to_dict()) == e
+    # Through the log and back out: the frozen entry is the record.
+    store = MonitorStore(["mon0"])
+    store.apply_batch([{"op": "log", "entry": e}])
+    assert store.log_tail(1)[0] is e
     line = e.format()
     assert "WRN" in line and "[mgr0]" in line
     assert "OSD_DOWN: 1 osds down" in line
@@ -66,8 +69,7 @@ def test_store_append_preserves_order():
     store = MonitorStore(["mon0"])
     for i in range(10):
         store.apply_batch([{"op": "log",
-                            "entry": entry(float(i),
-                                           message=f"m{i}").to_dict()}])
+                            "entry": entry(float(i), message=f"m{i}")}])
     times = [e.time for e in store.cluster_log]
     assert times == sorted(times) and len(times) == 10
     tail = store.log_tail(3)
@@ -80,8 +82,7 @@ def test_store_truncates_at_capacity():
     store.MAX_LOG_ENTRIES = limit
     total = limit + 1  # first append past the cap triggers the halving
     for i in range(total):
-        store.apply_batch([{"op": "log",
-                            "entry": entry(float(i)).to_dict()}])
+        store.apply_batch([{"op": "log", "entry": entry(float(i))}])
     # Oldest half dropped, newest entries intact.
     assert len(store.cluster_log) == total - (limit + 1) // 2
     assert store.cluster_log[-1].time == float(total - 1)

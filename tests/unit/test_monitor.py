@@ -96,7 +96,7 @@ def test_cluster_log_append_and_tail():
     run_script(sim, client, client.mon_log("WRN", "balancer swapped"))
     tail = run_script(sim, client,
                       client.mon_request("mon_log_tail", {"count": 10}))
-    assert any(e["message"] == "balancer swapped" for e in tail)
+    assert any(e.message == "balancer swapped" for e in tail)
 
 
 def test_leader_failover_preserves_data_and_liveness():

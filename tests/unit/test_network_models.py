@@ -3,6 +3,7 @@
 import pytest
 
 from repro.monitor.cluster_log import ClusterLogEntry, DEBUG, ERROR, INFO
+from repro.monitor.store import MonitorStore
 from repro.sim import (
     FixedLatency,
     LogNormalLatency,
@@ -103,8 +104,12 @@ def test_duplicate_endpoint_registration_rejected():
 def test_cluster_log_entry_round_trip_and_severity():
     entry = ClusterLogEntry(time=1.5, severity=ERROR, who="mds.0",
                             message="bad")
-    again = ClusterLogEntry.from_dict(entry.to_dict())
-    assert again == entry
+    # Through a monitor snapshot and back: entries cross as themselves.
+    store = MonitorStore(["m0"])
+    store.apply_batch([{"op": "log", "entry": entry}])
+    again = MonitorStore(["m0"])
+    again.restore(store.snapshot())
+    assert again.cluster_log == [entry] and again.cluster_log[0] is entry
     assert entry.at_least(INFO)
     assert not ClusterLogEntry(0, DEBUG, "x", "m").at_least(INFO)
     assert "mds.0" in entry.format()
