@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.chaos.ops import NemesisOp, NemesisSchedule
 from repro.rados.placement import acting_set
 from repro.sim.failure import FailureInjector
-from repro.store import StoreFaultPlane, unwrap_store
+from repro.store import StoreFaultPlane
 
 
 class NemesisEngine:
@@ -57,7 +57,7 @@ class NemesisEngine:
         self.sim.chaos = self
         self._daemons = {d.name: d for d in self.cluster.daemons()}
         for osd in self.cluster.osds:
-            osd.set_store_fault_plane(self.store_plane)
+            osd.store_faults = self.store_plane
         for op in schedule.ops:
             self._apply(op)
 
@@ -221,7 +221,7 @@ class NemesisEngine:
                 if (not acting or acting[0] == osd.name
                         or osd.name not in acting):
                     continue
-                store = unwrap_store(osd.pgs[key])
+                store = osd.pgs[key]
                 for oid in sorted(store):
                     if store[oid].data:
                         candidates.append((osd.name, key, oid))
@@ -230,7 +230,7 @@ class NemesisEngine:
         while candidates and hit < count:
             name, key, oid = candidates.pop(
                 self._rng.randrange(len(candidates)))
-            store = unwrap_store(self._daemons[name].pgs[key])
+            store = self._daemons[name].pgs[key]
             if self.store_plane.flip_bit(store, oid, owner=name):
                 hit += 1
         self.log.append(

@@ -29,7 +29,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import MalacologyError
 from repro.rados.placement import acting_set
-from repro.store import unwrap_store
 
 
 @dataclass
@@ -252,7 +251,7 @@ class ReplicaConvergenceOracle:
                     replica = by_name.get(name)
                     if replica is None:
                         continue
-                    store = unwrap_store(replica.pgs.get(key, {}))
+                    store = replica.pgs.get(key, {})
                     digests[name] = {
                         oid: store[oid].digest()
                         for oid in sorted(store)}

@@ -10,7 +10,7 @@ from repro.rados.client import RadosClient
 from repro.rados.objects import StoredObject
 from repro.rados.ops import apply_ops
 from repro.rados.osd import OSD
-from repro.rados.placement import acting_set, locate, pg_of, primary_of
+from repro.rados.placement import acting_set, locate, pg_of
 
 __all__ = [
     "RadosClient",
@@ -20,5 +20,4 @@ __all__ = [
     "acting_set",
     "locate",
     "pg_of",
-    "primary_of",
 ]

@@ -34,15 +34,15 @@ from repro.monitor.monitor import MonitorClient
 from repro.msg import Daemon, Envelope
 from repro.objclass.bundled import register_all
 from repro.objclass.registry import ClassRegistry
+from repro.rados.erasure import ErasureCodec
 from repro.rados.objects import StoredObject
 from repro.rados.ops import apply_ops
 from repro.rados.placement import acting_set, pg_of
-from repro.sim.event import Timeout, gather
+from repro.sim.event import Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.store import CacheTier, FaultInjectingStore, \
-    LogStructuredStore, ObjectStore, StoreFaultPlane, make_store, \
-    unwrap_store
+from repro.store import CacheTier, LogStructuredStore, ObjectStore, \
+    StoreFaultPlane, make_store
 
 PgId = Tuple[str, int]  # (pool, pg)
 
@@ -124,7 +124,8 @@ class OSD(Daemon, MonitorClient):
         self.register_admin_command("scrub.trigger",
                                     self._admin_scrub_trigger)
         #: Chaos-engine fault plane (``repro.store.faults``); when set,
-        #: every PG store is wrapped in a :class:`FaultInjectingStore`.
+        #: it is consulted right before each costed commit (client
+        #: write and repop).  The mapping plane is never checked.
         self.store_faults: Optional[StoreFaultPlane] = None
 
         rh = self.register_handler
@@ -307,29 +308,11 @@ class OSD(Daemon, MonitorClient):
         key = (pool, pgid)
         store = self.pgs.get(key)
         if store is None:
-            store = self._wrap_store(
-                self._build_store(self._pool_cfg(pool)))
+            store = self._build_store(self._pool_cfg(pool))
             self.pgs[key] = store
             if store.needs_maintenance:
                 self._ensure_store_ticker()
         return store
-
-    def _wrap_store(self, store: ObjectStore) -> ObjectStore:
-        if self.store_faults is None:
-            return store
-        return FaultInjectingStore(store, self.store_faults, self.name)
-
-    def set_store_fault_plane(
-            self, plane: Optional[StoreFaultPlane]) -> None:
-        """Install (or remove) the chaos fault plane on every PG store.
-
-        Wrapping is transparent to schedules — the shim adds no events
-        and draws no RNG until the plane's rates are nonzero.
-        """
-        self.store_faults = plane
-        for key in sorted(self.pgs):
-            inner = unwrap_store(self.pgs[key])
-            self.pgs[key] = self._wrap_store(inner)
 
     def _pool_cfg(self, pool: str) -> Dict[str, Any]:
         m = self.osdmap
@@ -349,7 +332,6 @@ class OSD(Daemon, MonitorClient):
 
     @staticmethod
     def _store_matches(store: ObjectStore, cfg: Dict[str, Any]) -> bool:
-        store = unwrap_store(store)
         backend = None if "ec" in cfg else cfg.get("backend")
         cache = None if "ec" in cfg else cfg.get("cache")
         if isinstance(store, CacheTier) != (cache is not None):
@@ -379,7 +361,7 @@ class OSD(Daemon, MonitorClient):
             store = self.pgs[key]
             if self._store_matches(store, cfg):
                 continue
-            replacement = self._wrap_store(self._build_store(cfg))
+            replacement = self._build_store(cfg)
             for oid in sorted(store):
                 replacement[oid] = store[oid]
             self.pgs[key] = replacement
@@ -417,7 +399,6 @@ class OSD(Daemon, MonitorClient):
     def _cache_tiers(self) -> List[CacheTier]:
         out = []
         for _, s in sorted(self.pgs.items()):
-            s = unwrap_store(s)
             if isinstance(s, CacheTier):
                 out.append(s)
         return out
@@ -425,7 +406,6 @@ class OSD(Daemon, MonitorClient):
     def _log_stores(self) -> List[LogStructuredStore]:
         out = []
         for _, s in sorted(self.pgs.items()):
-            s = unwrap_store(s)
             if isinstance(s, CacheTier):
                 s = s.base
             if isinstance(s, LogStructuredStore):
@@ -505,6 +485,8 @@ class OSD(Daemon, MonitorClient):
                 write_delay = store.discard(oid)
             else:
                 assert new_obj is not None
+                if self.store_faults is not None:
+                    self.store_faults.on_commit(self.name, store, new_obj)
                 write_delay = store.commit(new_obj)
             if write_delay > 0:
                 yield Timeout(write_delay)
@@ -554,6 +536,9 @@ class OSD(Daemon, MonitorClient):
         if payload["removed"]:
             delay = store.discard(payload["oid"])
         else:
+            if self.store_faults is not None:
+                self.store_faults.on_commit(self.name, store,
+                                            payload["state"])
             delay = store.commit(payload["state"])
         if delay > 0:
             # Non-default backends charge their write cost before the
@@ -674,8 +659,6 @@ class OSD(Daemon, MonitorClient):
     def _ec_op(self, pool: str, pgid: int, oid: str,
                ops: List[Dict[str, Any]], acting: List[str],
                profile: Dict[str, int]) -> Generator:
-        from repro.rados.erasure import ErasureCodec
-
         for op in ops:
             if op.get("op") not in self.EC_ALLOWED_OPS:
                 raise InvalidArgument(
@@ -768,7 +751,7 @@ class OSD(Daemon, MonitorClient):
                         payload: Dict[str, Any]) -> Optional[Dict]:
         entry = self.ec_shards.get(
             (payload["pool"], payload["oid"], payload["index"]))
-        return dict(entry) if entry is not None else None
+        return entry
 
     def _h_ec_shard_del(self, src: str, payload: Dict[str, Any]) -> None:
         self.ec_shards.pop(

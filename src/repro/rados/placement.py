@@ -13,7 +13,7 @@ only the PGs touching the changed OSD move.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import InvalidArgument
 from repro.monitor.maps import OSDMap
@@ -49,11 +49,6 @@ def acting_set(osdmap: OSDMap, pool: str, pgid: int) -> List[str]:
         reverse=True,
     )
     return scored[:size]
-
-
-def primary_of(osdmap: OSDMap, pool: str, pgid: int) -> Optional[str]:
-    acting = acting_set(osdmap, pool, pgid)
-    return acting[0] if acting else None
 
 
 def locate(osdmap: OSDMap, pool: str, oid: str) -> Tuple[int, List[str]]:

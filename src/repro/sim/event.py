@@ -125,8 +125,8 @@ def gather(futures: List[Future]) -> Future:
     """Return a future resolving to a list of results once all settle.
 
     Fails with the first error encountered (remaining results are
-    discarded), mirroring ``asyncio.gather`` semantics.  Used by the
-    replication layer to wait for all replica acks.
+    discarded), mirroring ``asyncio.gather`` semantics.  Replication
+    waits on each replica ack in turn instead; only the tests use this.
     """
     out = Future(name="gather")
     if not futures:

@@ -14,8 +14,7 @@ from repro.store.base import (BACKEND_PROFILES, ObjectStore,
                               normalize_backend, normalize_cache)
 from repro.store.cachetier import CacheEntry, CacheTier
 from repro.store.coldstore import ColdObject, ColdStore
-from repro.store.faults import (FaultInjectingStore, StoreFaultPlane,
-                                unwrap_store)
+from repro.store.faults import StoreFaultPlane
 from repro.store.logstructured import LogRecord, LogStructuredStore
 from repro.store.memstore import MemStore
 
@@ -25,7 +24,6 @@ __all__ = [
     "CacheTier",
     "ColdObject",
     "ColdStore",
-    "FaultInjectingStore",
     "LogRecord",
     "LogStructuredStore",
     "MemStore",
@@ -34,7 +32,6 @@ __all__ = [
     "make_store",
     "normalize_backend",
     "normalize_cache",
-    "unwrap_store",
 ]
 
 

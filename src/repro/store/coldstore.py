@@ -2,8 +2,8 @@
 
 Writes land in a cheap staging area (plain object references, like
 MemStore); the OSD's jitter-free store ticker then flushes the whole
-staged batch through ``ErasureCodec.encode_batch`` in **one call**,
-replacing each object's bytestream with k+m shards.  Reads of flushed
+staged batch in **one flush**, encoding each object with
+``ErasureCodec.encode`` and replacing its bytestream with k+m shards.  Reads of flushed
 objects pay a reconstruction cost (decode from the k data shards);
 staged objects are still hot and cheap.
 
@@ -43,7 +43,7 @@ class ColdObject:
 
 
 class ColdStore(ObjectStore):
-    """Staging + erasure-coded cold area; batch-encoded on flush."""
+    """Staging + erasure-coded cold area; encoded a batch per flush."""
 
     __slots__ = ("codec", "_staging", "_cold", "encode_batches")
 
@@ -135,16 +135,15 @@ class ColdStore(ObjectStore):
             self._flush_staging()
 
     def _flush_staging(self) -> None:
-        """Encode the whole staged batch in one codec call."""
-        oids = sorted(self._staging)
-        batch = [bytes(self._staging[oid].data) for oid in oids]
-        shard_sets = self.codec.encode_batch(batch)
-        for oid, shards in zip(oids, shard_sets):
-            self._freeze(self._staging[oid], shards)
+        """Encode every staged object in one flush (one batch)."""
+        count = len(self._staging)
+        for oid in sorted(self._staging):
+            obj = self._staging[oid]
+            self._freeze(obj, self.codec.encode(bytes(obj.data)))
         self._staging.clear()
         self.encode_batches += 1
         self.incr("encode_batch")
-        self.incr("encoded_objects", len(oids))
+        self.incr("encoded_objects", count)
 
     # -- introspection --------------------------------------------------
     def status(self) -> Dict[str, Any]:

@@ -26,7 +26,11 @@ from repro.chaos import (
     run_case,
     write_repro_artifact,
 )
+from repro.errors import MalacologyError
 from repro.objclass.bundled import cls_changelog
+from repro.rados.placement import locate
+from repro.store import StoreFaultPlane
+from repro.testing import build_rados_cluster
 
 
 # ----------------------------------------------------------------------
@@ -47,6 +51,47 @@ def test_scenario_passes_oracles(scenario, seed):
     assert verdict.stats["schedule"]["ops"]
     engine = verdict.stats["engine"]
     assert engine["injector_faults"] + engine["store_faults"] > 0
+
+
+# ----------------------------------------------------------------------
+# Store faults land at the OSD's costed commits, never on the mapping plane
+# ----------------------------------------------------------------------
+def test_store_eio_hits_the_osd_commits_but_not_pg_push():
+    c = build_rados_cluster(osd_count=3, seed=33)
+    plane = StoreFaultPlane(c.sim.rng("chaos:store"),
+                            clock=lambda: c.sim.now)
+    for osd in c.osds:
+        osd.store_faults = plane
+    pgid, acting = locate(c.mons[0].store.osdmap, "data", "obj")
+    by_name = {osd.name: osd for osd in c.osds}
+    primary, replica = by_name[acting[0]], by_name[acting[1]]
+    key = ("data", pgid)
+
+    # EIO on the primary: the client write fails, nothing persists.
+    plane.set_eio(1.0, targets={primary.name})
+    with pytest.raises(MalacologyError, match="injected EIO"):
+        c.do(c.admin.rados_write_full("data", "obj", b"v1"))
+    assert all("obj" not in osd.pgs.get(key, {}) for osd in c.osds)
+
+    # EIO on the replica: the primary commits, the repop fails.
+    plane.set_eio(1.0, targets={replica.name})
+    with pytest.raises(MalacologyError, match="injected EIO"):
+        c.do(c.admin.rados_write_full("data", "obj", b"v2"))
+    assert primary.pgs[key]["obj"].read() == b"v2"
+    assert "obj" not in replica.pgs.get(key, {})
+    assert plane.log[-1][1:] == ("eio", f"{replica.name}:obj")
+
+    # The mapping plane is never faulted: a pg_push still lands.
+    faults = plane.faults_injected
+    push = {"pool": "data", "pg": pgid,
+            "objects": {"obj": primary.pgs[key]["obj"]}}
+
+    def push_to_replica():
+        return (yield c.admin.call(replica.name, "pg_push", push))
+
+    assert c.do(push_to_replica()) is True
+    assert replica.pgs[key]["obj"].read() == b"v2"
+    assert plane.faults_injected == faults
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import InvalidArgument
-from repro.rados.erasure import ErasureCodec
 from repro.rados.objects import StoredObject
 from repro.store import (
     BACKEND_PROFILES,
@@ -132,29 +131,6 @@ def test_logstructured_counters_flow_to_perf():
     dump = perf.dump()
     assert dump["counters"]["store.logstructured.append"] == 1
     assert dump["counters"]["store.logstructured.read"] == 1
-
-
-# ----------------------------------------------------------------------
-# Satellite: batched erasure coding
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (4, 2)])
-def test_encode_batch_matches_per_object_encode(k, m):
-    codec = ErasureCodec(k, m)
-    buffers = [b"", b"x", b"hello world" * 7, bytes(range(256)),
-               b"\x00" * 31]
-    batch = codec.encode_batch(buffers)
-    assert len(batch) == len(buffers)
-    for buf, shards in zip(buffers, batch):
-        assert shards == codec.encode(buf)
-
-
-def test_encode_batch_shards_decode_independently():
-    codec = ErasureCodec(3, 2)
-    buffers = [bytes([i]) * (17 + i) for i in range(6)]
-    for buf, shards in zip(buffers, codec.encode_batch(buffers)):
-        # Drop any m=2 shards; the rest must reconstruct the object.
-        have = {i: s for i, s in enumerate(shards) if i not in (1, 3)}
-        assert codec.decode(have, len(buf)) == buf
 
 
 # ----------------------------------------------------------------------
