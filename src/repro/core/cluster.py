@@ -26,12 +26,7 @@ from repro.errors import MalacologyError
 from repro.mds.client import FsClient
 from repro.mds.server import MDS, METADATA_POOL
 from repro.mgr.daemon import MgrDaemon
-from repro.mgr.health import (
-    HealthCheck,
-    default_checks,
-    evaluate_health,
-    sample_cluster,
-)
+from repro.mgr.health import CHECKS, evaluate_health, sample_cluster
 from repro.monitor.monitor import Monitor, MonitorClient
 from repro.msg import Daemon
 from repro.rados.client import RadosClient
@@ -91,7 +86,7 @@ class MalacologyCluster:
               pools: Optional[Dict[str, Dict[str, Any]]] = None,
               latency: Optional[LatencyModel] = None,
               mon_backing: str = "ram", mgr: bool = False,
-              mgr_interval: float = 2.0, changelog: bool = False,
+              changelog: bool = False,
               sanitize: Optional[bool] = None,
               profile: bool = False) -> "MalacologyCluster":
         sim = Simulator(seed=seed)
@@ -148,14 +143,12 @@ class MalacologyCluster:
             # network RNG stream (endpoint latency override) and its
             # ticker is jitter-free, the other daemons' schedules are
             # identical with or without it.
-            cluster.enable_mgr(interval=mgr_interval)
+            cluster.enable_mgr()
         sim.run(until=sim.now + 1.0)  # let maps settle everywhere
         return cluster
 
-    def enable_mgr(self, interval: float = 2.0,
-                   checks: Optional[List[HealthCheck]] = None,
-                   name: str = "mgr0") -> MgrDaemon:
-        """Attach a manager daemon scraping every booted daemon.
+    def enable_mgr(self) -> MgrDaemon:
+        """Attach the manager daemon ``mgr0``, scraping every booted daemon.
 
         Does not advance simulated time; run the sim (or call
         ``run()``) afterwards to let it boot and scrape.
@@ -171,9 +164,8 @@ class MalacologyCluster:
             targets[d.name] = "mds"
         for d in self.changelog_daemons():
             targets[d.name] = "changelog"
-        self.mgr = MgrDaemon(self.sim, self.net, name, self.mon_names,
-                             targets, checks=checks,
-                             scrape_interval=interval)
+        self.mgr = MgrDaemon(self.sim, self.net, "mgr0", self.mon_names,
+                             targets)
         return self.mgr
 
     def enable_changelog(self, shards: int = 4, audit: bool = True,
@@ -330,13 +322,13 @@ class MalacologyCluster:
         """Cluster health report (``ceph health detail`` analogue).
 
         With a mgr: its last scrape's report.  Without one: evaluate
-        the default checks against an out-of-band sample right now —
+        every health check against an out-of-band sample right now —
         no messages, no simulated time.
         """
         if self.mgr is not None and self.mgr.alive:
             return self.mgr.admin_command("health")
         sample = sample_cluster(self)
-        return evaluate_health(default_checks(), sample).to_dict()
+        return evaluate_health(CHECKS, sample).to_dict()
 
     def status(self) -> Dict[str, Any]:
         """``ceph -s`` analogue (requires an enabled mgr)."""

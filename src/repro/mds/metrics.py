@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-# DecayCounter moved to util.stats so telemetry can share it without a
-# daemon-package import; re-exported here for existing callers.
+# DecayCounter lives in util.stats beside the other streaming statistics;
+# re-exported here for existing callers.
 from repro.util.stats import DecayCounter
 
 __all__ = ["DecayCounter", "LoadTracker"]

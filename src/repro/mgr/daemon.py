@@ -32,13 +32,12 @@ from typing import Any, Dict, Generator, List, Optional
 from repro.errors import MalacologyError
 from repro.mgr.audit import merge_trails
 from repro.mgr.health import (
+    CHECKS,
     HEALTH_ERR,
     HEALTH_OK,
     HEALTH_WARN,
     ClusterSample,
-    HealthCheck,
     HealthReport,
-    default_checks,
     evaluate_health,
 )
 from repro.mgr.prometheus import prometheus_export
@@ -58,23 +57,18 @@ class MgrDaemon(Daemon, MonitorClient):
 
     SCRAPE_INTERVAL = 2.0
     SCRAPE_TIMEOUT = 1.0
-    SERIES_CAPACITY = 256
     AUDIT_CAPACITY = 4096
     #: Fixed one-way delay for all mgr traffic (see module docstring).
     MGR_LATENCY = 100e-6
 
     def __init__(self, sim: Simulator, network: Network, name: str,
-                 mon_names: List[str], targets: Dict[str, str],
-                 checks: Optional[List[HealthCheck]] = None,
-                 scrape_interval: Optional[float] = None):
+                 mon_names: List[str], targets: Dict[str, str]):
         super().__init__(sim, network, name)
         network.set_latency_override(name, FixedLatency(self.MGR_LATENCY))
         self.init_mon_client(mon_names)
         #: daemon name -> role ("mon" / "osd" / "mds").
         self.targets = dict(targets)
-        self.checks = list(checks) if checks is not None \
-            else default_checks()
-        self.scrape_interval = scrape_interval or self.SCRAPE_INTERVAL
+        self.checks = CHECKS
         self.booted = False
 
         # Volatile aggregation state (the mgr owns no cluster state:
@@ -110,7 +104,7 @@ class MgrDaemon(Daemon, MonitorClient):
         yield from self.mon_subscribe(["mon", "osd", "mds"])
         yield from self.mon_get_map("osd")
         yield from self.mon_get_map("mds")
-        self.every(self.scrape_interval, self._scrape_tick,
+        self.every(self.SCRAPE_INTERVAL, self._scrape_tick,
                    name=f"{self.name}:scrape")
         self.booted = True
 
@@ -131,8 +125,7 @@ class MgrDaemon(Daemon, MonitorClient):
                 sample.failed[target] = f"{exc.code}: {exc}"
                 self.perf.incr("mgr.scrape.failed")
                 continue
-            sample.dumps[target] = dump
-            sample.series_of(target).observe_dump(self.sim.now, dump)
+            sample.observe(target, self.targets[target], dump)
             if self.targets[target] == "mds":
                 yield from self._collect_audit(target)
         sample.osdmap = self.cached_maps.get("osd")
@@ -142,7 +135,6 @@ class MgrDaemon(Daemon, MonitorClient):
         engine = self.sim.chaos
         if engine is not None:
             sample.chaos = engine.status()
-        sample.netstats = self.network.stats()
         self._last_dumps = dict(sample.dumps)
         report = evaluate_health(self.checks, sample)
         yield from self._log_transitions(report)

@@ -75,7 +75,7 @@ class Daemon:
         #: simulator-wide trace collector.  ``_trace_ctx`` is the span
         #: context of the handler currently executing on this daemon;
         #: outgoing call/cast stamp it onto the envelope.
-        self.perf = PerfCounters(owner=name, clock=lambda: sim.now)
+        self.perf = PerfCounters(owner=name)
         self.tracer = TraceCollector.of(sim)
         self._trace_ctx: Optional[SpanContext] = None
         self._admin_commands: Dict[str, Callable[[Any], Any]] = {}

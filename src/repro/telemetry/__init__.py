@@ -4,8 +4,8 @@ The paper's thesis is that storage internals become reusable once they
 are *exposed*; this package is how the reproduction exposes its own.
 Three pieces, mirroring what real Ceph ships:
 
-* :class:`PerfCounters` — a per-daemon registry of counters, gauges,
-  decayed rates, and latency trackers (Ceph's ``PerfCounters`` /
+* :class:`PerfCounters` — a per-daemon registry of counters, gauges
+  and latency trackers (Ceph's ``PerfCounters`` /
   ``perf dump``).
 * :class:`TraceCollector` / :class:`SpanContext` — causally-ordered
   span trees for one client op across client → MDS → monitor → OSD

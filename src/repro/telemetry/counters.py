@@ -1,15 +1,12 @@
 """Per-daemon performance counter registry (Ceph's PerfCounters).
 
 Every :class:`~repro.msg.daemon.Daemon` owns one :class:`PerfCounters`
-instance.  Four metric kinds cover what the daemons need to report:
+instance.  Three metric kinds cover what the daemons need to report:
 
 * **counters** — monotonic event counts (``perf.incr``), like Ceph's
   ``add_u64_counter``;
-* **gauges** — point-in-time values, either set explicitly
-  (``perf.gauge``) or computed on dump from a callable
-  (``perf.gauge_fn``), like ``add_u64`` / ``set``;
-* **rates** — exponentially decayed event rates built on
-  :class:`~repro.util.stats.DecayCounter` (``perf.rate_hit``);
+* **gauges** — point-in-time values computed on dump from a callable
+  (``perf.gauge_fn``), like ``add_u64``;
 * **latency trackers** — duration distributions (``perf.time``), like
   ``add_time_avg`` plus an optional full sample tape for exact tail
   quantiles (the Figure 7 CDF needs p99.99 and max, which summary
@@ -22,11 +19,9 @@ surviving failure must live in RADOS or the monitor store.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
-from repro.util.stats import DecayCounter, OnlineStats, percentile
-
-Clock = Callable[[], float]
+from repro.util.stats import OnlineStats, percentile
 
 
 class LatencyTracker:
@@ -92,7 +87,7 @@ class LatencyTracker:
 
 
 class PerfCounters:
-    """The counter/gauge/rate/latency registry one daemon owns.
+    """The counter/gauge/latency registry one daemon owns.
 
     Metrics are created lazily on first touch — instrumentation points
     never need a registration step, so adding a counter to a code path
@@ -100,14 +95,10 @@ class PerfCounters:
     admin-socket wire format benchmarks and tests consume.
     """
 
-    def __init__(self, owner: str = "", clock: Optional[Clock] = None):
+    def __init__(self, owner: str = ""):
         self.owner = owner
-        self._clock: Clock = clock or (lambda: 0.0)
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, Any] = {}
         self._gauge_fns: Dict[str, Callable[[], Any]] = {}
-        self._rates: Dict[str, DecayCounter] = {}
-        self._rate_halflife: Dict[str, float] = {}
         self._latency: Dict[str, LatencyTracker] = {}
 
     # ------------------------------------------------------------------
@@ -117,10 +108,6 @@ class PerfCounters:
         """Bump a monotonic counter."""
         self._counters[name] = self._counters.get(name, 0.0) + amount
 
-    def gauge(self, name: str, value: Any) -> None:
-        """Set a point-in-time gauge value."""
-        self._gauges[name] = value
-
     def gauge_fn(self, name: str, fn: Callable[[], Any]) -> None:
         """Register a gauge computed at dump time (queue depths etc.).
 
@@ -128,15 +115,6 @@ class PerfCounters:
         the observed values are volatile.
         """
         self._gauge_fns[name] = fn
-
-    def rate_hit(self, name: str, amount: float = 1.0,
-                 halflife: float = 5.0) -> None:
-        """Feed an exponentially decayed rate counter."""
-        counter = self._rates.get(name)
-        if counter is None:
-            counter = self._rates[name] = DecayCounter(halflife)
-            self._rate_halflife[name] = halflife
-        counter.hit(self._clock(), amount)
 
     def time(self, name: str, duration: float,
              retain: bool = False) -> None:
@@ -168,15 +146,10 @@ class PerfCounters:
 
     def dump(self) -> Dict[str, Any]:
         """Export everything as a JSON-safe dict (``perf dump``)."""
-        now = self._clock()
-        gauges = dict(self._gauges)
-        for name, fn in self._gauge_fns.items():
-            gauges[name] = fn()
         return {
             "owner": self.owner,
             "counters": dict(self._counters),
-            "gauges": gauges,
-            "rates": {name: c.get(now) for name, c in self._rates.items()},
+            "gauges": {name: fn() for name, fn in self._gauge_fns.items()},
             "latency": {name: t.to_dict()
                         for name, t in self._latency.items()},
         }
@@ -194,7 +167,4 @@ class PerfCounters:
         next use.
         """
         self._counters.clear()
-        self._gauges.clear()
-        self._rates.clear()
-        self._rate_halflife.clear()
         self._latency.clear()

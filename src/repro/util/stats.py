@@ -85,9 +85,7 @@ class Cdf:
 class DecayCounter:
     """Exponentially decayed event counter (CephFS's DecayCounter).
 
-    Shared by the MDS load tracker and the telemetry rate counters;
-    lives here so ``repro.telemetry`` never has to import a daemon
-    package.
+    The MDS load tracker's request, busy-time and popularity metrics.
     """
 
     def __init__(self, halflife: float = 5.0):

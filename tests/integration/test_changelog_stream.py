@@ -17,8 +17,8 @@ from repro.core import MalacologyCluster
 from repro.changelog import CHANGELOG_POOL, ChangelogWriter
 from repro.mgr.health import (
     HEALTH_WARN,
-    ChangelogTrimStalledCheck,
     ClusterSample,
+    changelog_trim_stalled,
 )
 from repro.mgr.prometheus import parse_prometheus_text
 from repro.rados.placement import locate
@@ -263,8 +263,6 @@ def test_lagging_consumer_trips_health_and_prometheus():
 
 def test_trim_stalled_check_fires_on_synthetic_sample():
     """Unit-style: retained backlog + appends but no trims -> WARN."""
-    check = ChangelogTrimStalledCheck(min_retained=500.0, window=10.0,
-                                      min_scrapes=3)
     sample = ClusterSample(time=30.0, roles={"chlog0": "changelog"})
     series = sample.series_of("chlog0")
     for t, appended in ((10.0, 100.0), (15.0, 400.0), (20.0, 700.0),
@@ -274,7 +272,7 @@ def test_trim_stalled_check_fires_on_synthetic_sample():
                          "changelog.trimmed": 120.0},
             "gauges": {"changelog.retained": appended - 120.0},
         })
-    result = check.evaluate(sample)
+    result = changelog_trim_stalled(sample)
     assert result is not None and result.status == HEALTH_WARN
     assert result.detail["writers"] == {"chlog0": pytest.approx(580.0)}
     # A healthy stream (trim advancing) stays silent.
@@ -288,4 +286,4 @@ def test_trim_stalled_check_fires_on_synthetic_sample():
                          "changelog.trimmed": trimmed},
             "gauges": {"changelog.retained": 600.0},
         })
-    assert check.evaluate(healthy) is None
+    assert changelog_trim_stalled(healthy) is None

@@ -14,7 +14,7 @@ import pytest
 
 from repro.chaos import NemesisEngine, NemesisSchedule
 from repro.core import MalacologyCluster
-from repro.mgr.health import HEALTH_OK
+from repro.mgr.health import HEALTH_OK, chaos_nemesis_active
 from repro.testing import record_sends
 from repro.zlog import ZLog
 
@@ -36,7 +36,7 @@ def _run(planes):
             # logs CHAOS_NEMESIS_ACTIVE through the monitors.  Mute that
             # one check so health stays steady under both planes.
             c.mgr.checks = [k for k in c.mgr.checks
-                            if k.name != "CHAOS_NEMESIS_ACTIVE"]
+                            if k is not chaos_nemesis_active]
     client = c.new_client("load")
     log = ZLog(client, "tape")
 

@@ -16,9 +16,9 @@ import pytest
 
 from repro.core import MalacologyCluster
 from repro.mgr.health import (
-    CacheTierFullCheck,
     ClusterSample,
-    CompactionStalledCheck,
+    cache_tier_full,
+    compaction_stalled,
     sample_cluster,
 )
 from repro.mgr.prometheus import parse_prometheus_text
@@ -212,8 +212,6 @@ def test_cache_tier_full_fires_then_clears():
 
 
 def test_compaction_stalled_check_on_fabricated_series():
-    check = CompactionStalledCheck(min_ratio=0.5, window=6.0,
-                                   min_scrapes=3)
     sample = ClusterSample(time=10.0)
     sample.roles["osd0"] = "osd"
     series = sample.series_of("osd0")
@@ -222,7 +220,7 @@ def test_compaction_stalled_check_on_fabricated_series():
             "counters": {"store.logstructured.compaction": 3},
             "gauges": {"store.log.garbage_ratio": 0.7},
         })
-    result = check.evaluate(sample)
+    result = compaction_stalled(sample)
     assert result is not None and result.status == "HEALTH_WARN"
     assert result.detail["osds"]["osd0"] == pytest.approx(0.7)
     # Once the compaction counter moves inside the window, it clears.
@@ -230,16 +228,15 @@ def test_compaction_stalled_check_on_fabricated_series():
         "counters": {"store.logstructured.compaction": 4},
         "gauges": {"store.log.garbage_ratio": 0.2},
     })
-    assert check.evaluate(sample) is None
+    assert compaction_stalled(sample) is None
 
 
 def test_cache_tier_full_check_skips_cacheless_osds():
-    check = CacheTierFullCheck()
     sample = ClusterSample(time=1.0)
     sample.roles["osd0"] = "osd"
     # The gauge is None on OSDs hosting no cache tier.
     sample.dumps["osd0"] = {"gauges": {"store.cache.utilization": None}}
-    assert check.evaluate(sample) is None
+    assert cache_tier_full(sample) is None
 
 
 def test_log_garbage_gauge_feeds_mgr_series():
