@@ -14,7 +14,7 @@ Run:  python examples/zlog_kvstore.py
 """
 
 from repro.core import MalacologyCluster
-from repro.zlog import LogBackedDict, StripeLayout, ZLog, recover_log
+from repro.zlog import StripeLayout, TransactionalTable, ZLog, recover_log
 
 
 def main() -> None:
@@ -60,15 +60,15 @@ def main() -> None:
     # ------------------------------------------------------------------
     kv_log = ZLog(cluster.admin, "kv", layout=StripeLayout("kv", width=4))
     cluster.do(kv_log.create())
-    writer = LogBackedDict(kv_log)
-    cluster.do(writer.put("threshold", 10))
-    cluster.do(writer.put("mode", "steady"))
+    writer = TransactionalTable(kv_log)
+    cluster.do(writer.blind_put("threshold", 10))
+    cluster.do(writer.blind_put("mode", "steady"))
     cluster.do(writer.delete("threshold"))
 
     reader_client = cluster.new_client("kv-reader")
     reader_log = ZLog(reader_client, "kv")
     cluster.sim.run_until_complete(reader_client.do(reader_log.open()))
-    reader = LogBackedDict(reader_log)
+    reader = TransactionalTable(reader_log)
     snapshot = cluster.sim.run_until_complete(
         reader_client.do(reader.snapshot()))
     print(f"replica materialized from the log: {snapshot}")

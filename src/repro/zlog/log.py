@@ -147,8 +147,31 @@ class ZLog:
         return value
 
     # ------------------------------------------------------------------
-    # Convenience iteration
+    # Iteration
     # ------------------------------------------------------------------
+    def replay(self, start: int) -> Generator:
+        """Read ``[start, tail)`` for a replica; returns ``[(pos, entry)]``.
+
+        A hole (a position issued but never written: its writer is slow
+        or dead) is filled so replay can proceed — the CORFU
+        hole-filling discipline — and comes back as
+        ``{"state": "filled"}``.  If the writer lands after the failed
+        read, the fill is refused and the position is read again.
+        """
+        tail = yield from self.tail()
+        out = []
+        for pos in range(start, tail):
+            try:
+                entry = yield from self.read(pos)
+            except NotFound:
+                try:
+                    yield from self.fill(pos)
+                    entry = {"state": "filled"}
+                except ReadOnly:
+                    entry = yield from self.read(pos)
+            out.append((pos, entry))
+        return out
+
     def read_range(self, start: int, end: int,
                    skip_holes: bool = True) -> Generator:
         """Read [start, end); returns a list of (pos, entry-or-None)."""

@@ -17,15 +17,22 @@ commit/abort deterministically by replay.
   coordination beyond the log itself.
 
 ``transact`` retries aborted transactions with fresh reads, giving
-serializable read-modify-write without locks.
+serializable read-modify-write without locks.  Used only through
+``blind_put`` / ``delete`` / ``get`` / ``snapshot``, the table is a
+Tango-style replicated dictionary: every replica reaches the same state
+by replaying the log in position order.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from repro.errors import InvalidArgument, NotFound, TryAgain
 from repro.zlog.log import ZLog
+
+#: Value of a deleted key.  The tombstone keeps the delete's version, so
+#: a transaction that read the key before the delete aborts.
+_DELETED = object()
 
 
 class TransactionalTable:
@@ -36,7 +43,7 @@ class TransactionalTable:
     def __init__(self, log: ZLog):
         self.log = log
         #: key -> (value, version); version = log position of the txn
-        #: that last wrote the key.
+        #: that last wrote or deleted the key.
         self._state: Dict[str, Tuple[Any, int]] = {}
         self._applied = 0
         #: log position -> commit verdict, so a transaction's outcome
@@ -50,19 +57,7 @@ class TransactionalTable:
     # ------------------------------------------------------------------
     def sync(self) -> Generator:
         """Replay committed log entries up to the tail."""
-        tail = yield from self.log.tail()
-        while self._applied < tail:
-            pos = self._applied
-            try:
-                entry = yield from self.log.read(pos)
-            except NotFound:
-                from repro.errors import ReadOnly
-
-                try:
-                    yield from self.log.fill(pos)
-                    entry = {"state": "filled"}
-                except ReadOnly:
-                    entry = yield from self.log.read(pos)
+        for pos, entry in (yield from self.log.replay(self._applied)):
             self._apply(pos, entry)
             self._applied = pos + 1
 
@@ -80,6 +75,8 @@ class TransactionalTable:
                 return  # conflict: a later writer got in first
         for key, value in txn["writes"].items():
             self._state[key] = (value, pos)
+        for key in txn.get("deletes", ()):
+            self._state[key] = (_DELETED, pos)
         self.commits += 1
         self._verdicts[pos] = True
 
@@ -88,13 +85,15 @@ class TransactionalTable:
     # ------------------------------------------------------------------
     def get(self, key: str) -> Generator:
         yield from self.sync()
-        if key not in self._state:
+        value = self._state.get(key, (_DELETED, -1))[0]
+        if value is _DELETED:
             raise NotFound(f"key {key!r} not in table")
-        return self._state[key][0]
+        return value
 
     def snapshot(self) -> Generator:
         yield from self.sync()
-        return {k: v for k, (v, _) in self._state.items()}
+        return {k: v for k, (v, _) in self._state.items()
+                if v is not _DELETED}
 
     # ------------------------------------------------------------------
     # Transactions
@@ -114,10 +113,10 @@ class TransactionalTable:
             raise InvalidArgument("update must be callable")
         for _ in range(self.MAX_TXN_RETRIES):
             yield from self.sync()
-            reads = {k: self._state.get(k, (None, -1))[1]
-                     for k in read_keys}
-            values = {k: self._state.get(k, (None, -1))[0]
-                      for k in read_keys}
+            seen = {k: self._state.get(k, (None, -1)) for k in read_keys}
+            reads = {k: version for k, (_, version) in seen.items()}
+            values = {k: None if v is _DELETED else v
+                      for k, (v, _) in seen.items()}
             writes = update(dict(values))
             if not isinstance(writes, dict) or not writes:
                 raise InvalidArgument(
@@ -134,4 +133,10 @@ class TransactionalTable:
         """Unconditional write (no read set — never aborts)."""
         pos = yield from self.log.append(
             {"kind": "txn", "reads": {}, "writes": {key: value}})
+        return pos
+
+    def delete(self, key: str) -> Generator:
+        """Unconditional delete; leaves a tombstone at the delete's version."""
+        pos = yield from self.log.append(
+            {"kind": "txn", "reads": {}, "writes": {}, "deletes": [key]})
         return pos

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import MalacologyCluster, SharedResourceInterface
 from repro.errors import NotFound, ReadOnly, StaleEpoch
-from repro.zlog import LogBackedDict, StripeLayout, ZLog, recover_log
+from repro.zlog import StripeLayout, TransactionalTable, ZLog, recover_log
 from repro.zlog.log import sequencer_path
 
 
@@ -155,10 +155,10 @@ def test_log_backed_dict_replicas_converge(cluster):
                                                      log_name)
     c.sim.run_until_complete(writer_client.do(wlog.open()))
     c.sim.run_until_complete(reader_client.do(rlog.open()))
-    writer, reader = LogBackedDict(wlog), LogBackedDict(rlog)
+    writer, reader = TransactionalTable(wlog), TransactionalTable(rlog)
 
-    c.sim.run_until_complete(writer_client.do(writer.put("x", 1)))
-    c.sim.run_until_complete(writer_client.do(writer.put("y", 2)))
+    c.sim.run_until_complete(writer_client.do(writer.blind_put("x", 1)))
+    c.sim.run_until_complete(writer_client.do(writer.blind_put("y", 2)))
     c.sim.run_until_complete(writer_client.do(writer.delete("x")))
 
     snap = c.sim.run_until_complete(reader_client.do(reader.snapshot()))

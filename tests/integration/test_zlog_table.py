@@ -10,6 +10,7 @@ import pytest
 from repro.core import MalacologyCluster
 from repro.errors import NotFound
 from repro.zlog import StripeLayout, TransactionalTable, ZLog
+from repro.zlog.log import sequencer_path
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +105,20 @@ def test_transaction_with_multiple_keys_is_atomic(cluster):
     snap = c.do(t.snapshot())
     assert snap == {"from": 70, "to": 30}
     assert snap["from"] + snap["to"] == 100
+
+
+def test_replica_fills_a_hole_and_applies_later_entries(cluster):
+    c = cluster
+    name = "txn-hole"
+    t = make_table(c, name)
+    c.do(t.blind_put("a", 1))
+    # A writer takes a position from the sequencer and dies before
+    # writing it: a hole in the middle of the log.
+    hole = c.do(c.admin.seq_next(sequencer_path(name)))
+    c.do(t.blind_put("b", 2))
+    replica = make_table(c, name, client=c.new_client("txn-hole-replica"))
+    snap = c.sim.run_until_complete(
+        replica.log.client.do(replica.snapshot()))
+    assert snap == {"a": 1, "b": 2}
+    assert c.do(t.log.read(hole)) == {"state": "filled"}
+    assert replica.commits == 2
