@@ -34,8 +34,10 @@ def percentile(samples: Sequence[float], pct: float) -> float:
         # Exact rank, or equal bracketing values: no interpolation —
         # avoids float round-off breaking quantile monotonicity.
         return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    lo_v, hi_v = ordered[lo], ordered[hi]
+    # This form stays monotone in the fraction under float rounding;
+    # min() keeps the rounded result inside the bracket.
+    return min(hi_v, lo_v + (hi_v - lo_v) * (rank - lo))
 
 
 class Cdf:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mds.metrics import DecayCounter
 from repro.telemetry.counters import LatencyTracker
@@ -24,6 +24,7 @@ def test_percentile_bounds_and_order(samples):
 
 
 @given(st.lists(floats, min_size=1, max_size=100))
+@example([0.0] * 6 + [-1e6, -999999.9999999999])
 @settings(max_examples=200, deadline=None)
 def test_cdf_quantile_is_monotone_and_inverts(samples):
     cdf = Cdf(samples)
