@@ -12,9 +12,8 @@ from typing import (Any, Callable, Dict, Generator, Iterator, List, Optional,
 
 from repro.monitor.monitor import Monitor, MonitorClient
 from repro.msg import Daemon
-from repro.rados.client import RadosClient
 from repro.rados.objects import StoredObject
-from repro.sim import FixedLatency, Network, Simulator
+from repro.sim import Network, Simulator
 from repro.sim.network import LatencyModel, lan_latency
 from repro.store import ObjectStore
 
@@ -54,70 +53,6 @@ def settle_quorum(sim: Simulator, mons: List[Monitor],
     raise AssertionError("no leader emerged before the deadline")
 
 
-def build_rados_cluster(
-    osd_count: int = 4,
-    mon_count: int = 3,
-    seed: int = 0,
-    proposal_interval: float = 0.1,
-    pools: Optional[dict] = None,
-    latency: Optional[LatencyModel] = None,
-) -> "RadosCluster":
-    """Boot monitors + OSDs and create pools; settle until serviceable.
-
-    ``pools`` maps pool name -> {"size": r, "pg_num": n}; defaults to
-    one pool ``"data"`` with 2x replication and 32 PGs.
-    """
-    from repro.rados.osd import OSD
-
-    sim, net, mons = build_monitor_quorum(
-        count=mon_count, seed=seed, proposal_interval=proposal_interval,
-        latency=latency)
-    settle_quorum(sim, mons)
-    mon_names = [m.name for m in mons]
-    osds = [OSD(sim, net, f"osd{i}", mon_names) for i in range(osd_count)]
-    # Let OSDs boot and learn the map.
-    deadline = sim.now + 60.0
-    while sim.now < deadline and not all(o.booted for o in osds):
-        sim.run(until=sim.now + 0.5)
-    if not all(o.booted for o in osds):
-        raise AssertionError("OSDs failed to boot")
-    client = RadosScriptClient(sim, net, "admin", mon_names)
-    for name, cfg in (pools or {"data": {"size": 2, "pg_num": 32}}).items():
-        run_script(sim, client, client.rados_create_pool(
-            name, size=cfg.get("size", 2), pg_num=cfg.get("pg_num", 32),
-            ec=cfg.get("ec"), backend=cfg.get("backend"),
-            cache=cfg.get("cache")))
-    sim.run(until=sim.now + 2.0)  # let the pool map gossip out
-    return RadosCluster(sim=sim, net=net, mons=mons, osds=osds,
-                        admin=client)
-
-
-class RadosCluster:
-    """Handle bundling a booted simulation cluster for tests/benches."""
-
-    def __init__(self, sim: Simulator, net: Network, mons: List[Monitor],
-                 osds: list, admin: "RadosScriptClient"):
-        self.sim = sim
-        self.net = net
-        self.mons = mons
-        self.osds = osds
-        self.admin = admin
-
-    @property
-    def mon_names(self) -> List[str]:
-        return [m.name for m in self.mons]
-
-    def new_client(self, name: str) -> "RadosScriptClient":
-        return RadosScriptClient(self.sim, self.net, name, self.mon_names)
-
-    def run(self, seconds: float) -> None:
-        self.sim.run(until=self.sim.now + seconds)
-
-    def do(self, gen: Generator, limit: float = 1e9) -> Any:
-        """Run a client script (generator) to completion on the admin."""
-        return run_script(self.sim, self.admin, gen, limit=limit)
-
-
 class ScriptClient(Daemon, MonitorClient):
     """A generic client daemon for driving scripted operations.
 
@@ -133,10 +68,6 @@ class ScriptClient(Daemon, MonitorClient):
 
     def do(self, gen: Generator, name: str = "script"):
         return self.spawn(gen, name=f"{self.name}:{name}")
-
-
-class RadosScriptClient(ScriptClient, RadosClient):
-    """Script client with full object-store access."""
 
 
 def run_script(sim: Simulator, client: ScriptClient,

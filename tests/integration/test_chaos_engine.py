@@ -26,11 +26,11 @@ from repro.chaos import (
     run_case,
     write_repro_artifact,
 )
+from repro.core import MalacologyCluster
 from repro.errors import MalacologyError
 from repro.objclass.bundled import cls_changelog
 from repro.rados.placement import locate
 from repro.store import StoreFaultPlane
-from repro.testing import build_rados_cluster
 
 
 # ----------------------------------------------------------------------
@@ -57,7 +57,8 @@ def test_scenario_passes_oracles(scenario, seed):
 # Store faults land at the OSD's costed commits, never on the mapping plane
 # ----------------------------------------------------------------------
 def test_store_eio_hits_the_osd_commits_but_not_pg_push():
-    c = build_rados_cluster(osd_count=3, seed=33)
+    c = MalacologyCluster.build(osds=3, mdss=0, seed=33,
+                                pools={"data": {"size": 2, "pg_num": 32}})
     plane = StoreFaultPlane(c.sim.rng("chaos:store"),
                             clock=lambda: c.sim.now)
     for osd in c.osds:

@@ -1,12 +1,12 @@
 """Integration test: placement-group splitting (paper section 4.4)."""
 
+from repro.core import MalacologyCluster
 from repro.rados.placement import locate
-from repro.testing import build_rados_cluster
 
 
 def test_pg_split_reshards_and_preserves_data():
-    c = build_rados_cluster(osd_count=4, seed=95,
-                            pools={"data": {"size": 2, "pg_num": 4}})
+    c = MalacologyCluster.build(osds=4, mdss=0, seed=95,
+                                pools={"data": {"size": 2, "pg_num": 4}})
     payloads = {f"obj-{i}": f"payload-{i}".encode() for i in range(24)}
     for oid, data in payloads.items():
         c.do(c.admin.rados_write_full("data", oid, data))

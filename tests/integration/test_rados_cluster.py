@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.core import MalacologyCluster
 from repro.errors import AlreadyExists, NotFound, StaleEpoch
 from repro.rados.placement import locate
 from repro.sim import FailureInjector
-from repro.testing import build_rados_cluster
 
 COUNTER_SOURCE = """
 def inc(ctx, args):
@@ -22,7 +22,8 @@ METHODS = {"inc": inc, "get": get}
 
 @pytest.fixture(scope="module")
 def cluster():
-    return build_rados_cluster(osd_count=4, seed=11)
+    return MalacologyCluster.build(osds=4, mdss=0, seed=11,
+                                   pools={"data": {"size": 2, "pg_num": 32}})
 
 
 def test_write_read_round_trip(cluster):
@@ -158,7 +159,8 @@ def test_removed_interface_stops_running_on_every_osd(cluster):
 
 
 def test_remove_interface_voids_an_install_in_flight():
-    c = build_rados_cluster(osd_count=3, seed=12)
+    c = MalacologyCluster.build(osds=3, mdss=0, seed=12,
+                                pools={"data": {"size": 2, "pg_num": 32}})
     for o in c.osds:
         # A fixed, slow compile so the removal lands mid-install.
         o.INTERFACE_INSTALL_MEDIAN = o.INTERFACE_INSTALL_CAP = 5.0

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core import MalacologyCluster
 from repro.rados.placement import acting_set, locate
 from repro.sim import FailureInjector
-from repro.testing import build_rados_cluster
 
 
 def test_acked_write_survives_primary_failure():
-    c = build_rados_cluster(osd_count=4, seed=21)
+    c = MalacologyCluster.build(osds=4, mdss=0, seed=21,
+                                pools={"data": {"size": 2, "pg_num": 32}})
     c.do(c.admin.rados_write_full("data", "precious", b"survive-me"))
     osdmap = c.mons[0].store.osdmap
     _, acting = locate(osdmap, "data", "precious")
@@ -20,7 +21,8 @@ def test_acked_write_survives_primary_failure():
 
 
 def test_recovery_restores_replication_factor():
-    c = build_rados_cluster(osd_count=4, seed=22)
+    c = MalacologyCluster.build(osds=4, mdss=0, seed=22,
+                                pools={"data": {"size": 2, "pg_num": 32}})
     c.do(c.admin.rados_write_full("data", "re-replicate", b"abc"))
     osdmap = c.mons[0].store.osdmap
     pgid, acting = locate(osdmap, "data", "re-replicate")
@@ -37,7 +39,8 @@ def test_recovery_restores_replication_factor():
 
 
 def test_restarted_osd_rejoins_and_serves():
-    c = build_rados_cluster(osd_count=3, seed=23)
+    c = MalacologyCluster.build(osds=3, mdss=0, seed=23,
+                                pools={"data": {"size": 2, "pg_num": 32}})
     c.do(c.admin.rados_write_full("data", "obj-a", b"a"))
     victim = c.osds[0]
     victim.crash()
@@ -49,7 +52,8 @@ def test_restarted_osd_rejoins_and_serves():
 
 
 def test_scrub_repairs_silent_corruption():
-    c = build_rados_cluster(osd_count=3, seed=24)
+    c = MalacologyCluster.build(osds=3, mdss=0, seed=24,
+                                pools={"data": {"size": 2, "pg_num": 32}})
     c.do(c.admin.rados_write_full("data", "scrubbed", b"clean-data"))
     c.run(1.0)
     osdmap = c.mons[0].store.osdmap
@@ -88,8 +92,8 @@ BACKEND_POOLS = {
 @pytest.mark.parametrize("profile", sorted(BACKEND_POOLS))
 def test_acked_write_survives_primary_failure_on_every_backend(profile):
     cfg = {"size": 2, "pg_num": 16, **BACKEND_POOLS[profile]}
-    c = build_rados_cluster(osd_count=4, seed=26,
-                            pools={"data": cfg})
+    c = MalacologyCluster.build(osds=4, mdss=0, seed=26,
+                                pools={"data": cfg})
     payload = b"survive-" + profile.encode()
     c.do(c.admin.rados_write_full("data", "precious", payload))
     c.run(2.0)  # let flusher ticks freeze/write-back before the crash
@@ -108,8 +112,8 @@ def test_acked_write_survives_primary_failure_on_every_backend(profile):
 @pytest.mark.parametrize("profile", sorted(BACKEND_POOLS))
 def test_recovery_restores_replication_on_every_backend(profile):
     cfg = {"size": 2, "pg_num": 16, **BACKEND_POOLS[profile]}
-    c = build_rados_cluster(osd_count=4, seed=27,
-                            pools={"data": cfg})
+    c = MalacologyCluster.build(osds=4, mdss=0, seed=27,
+                                pools={"data": cfg})
     c.do(c.admin.rados_write_full("data", "re-replicate", b"abc"))
     c.run(2.0)
     osdmap = c.mons[0].store.osdmap
@@ -128,7 +132,8 @@ def test_recovery_restores_replication_on_every_backend(profile):
 
 
 def test_monitor_failure_does_not_block_osd_io():
-    c = build_rados_cluster(osd_count=3, seed=25)
+    c = MalacologyCluster.build(osds=3, mdss=0, seed=25,
+                                pools={"data": {"size": 2, "pg_num": 32}})
     leader = next(m for m in c.mons if m.is_leader)
     c.do(c.admin.rados_write_full("data", "before", b"1"))
     leader.crash()
