@@ -12,33 +12,16 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from repro.analysis.provenance import git_sha
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Version of the results-JSON envelope.  Bump when the meaning or
 #: layout of the stamped fields changes, so trajectory tooling can
 #: refuse to compare incomparable documents.
 RESULTS_SCHEMA_VERSION = 1
-
-
-def git_sha() -> str:
-    """The repo HEAD commit, or ``"unknown"`` outside a git checkout.
-
-    Stamped into every results JSON so a perf number is always tied to
-    the code that produced it — the point of tracking a baseline.
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True,
-            text=True, cwd=REPO_ROOT, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    if proc.returncode != 0:
-        return "unknown"
-    return proc.stdout.strip() or "unknown"
 
 
 def emit(name: str, lines: Iterable[str]) -> str:
