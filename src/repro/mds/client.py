@@ -15,6 +15,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import (
     DaemonDown,
+    InvalidArgument,
     MalacologyError,
     TimeoutError_,
     TryAgain,
@@ -138,19 +139,14 @@ class FsClient(MonitorClient):
     # ------------------------------------------------------------------
     #: File data stripes over fixed-size RADOS objects, CephFS-style
     #: (the inode's striping strategy is the File Type interface's
-    #: Ceph example in Table 2).  Small so tests exercise striping.
+    #: Ceph example in Table 2), named ``ino.<ino:016x>.<block:08x>``.
+    #: Small so tests exercise striping.
     FILE_OBJECT_SIZE = 64 * 1024
     FILE_DATA_POOL = "data"
-
-    @staticmethod
-    def _file_object(ino: int, block: int) -> str:
-        return f"ino.{ino:016x}.{block:08x}"
 
     def _file_ino(self: Any, path: str) -> Generator:
         st = yield from self.fs_stat(path)
         if st["kind"] != "file":
-            from repro.errors import InvalidArgument
-
             raise InvalidArgument(f"not a regular file: {path!r}")
         return st
 
@@ -158,21 +154,11 @@ class FsClient(MonitorClient):
                  data: bytes) -> Generator:
         """Write file data: stripe to RADOS, then update the size."""
         if offset < 0:
-            from repro.errors import InvalidArgument
-
             raise InvalidArgument("negative file offset")
         st = yield from self._file_ino(path)
-        ino, bs = st["ino"], self.FILE_OBJECT_SIZE
-        cursor = offset
-        remaining = data
-        while remaining:
-            block, block_off = divmod(cursor, bs)
-            chunk = remaining[: bs - block_off]
-            yield from self.rados_write(
-                self.FILE_DATA_POOL, self._file_object(ino, block),
-                block_off, chunk)
-            cursor += len(chunk)
-            remaining = remaining[len(chunk):]
+        yield from self.rados_write_striped(
+            self.FILE_DATA_POOL, f"ino.{st['ino']:016x}",
+            self.FILE_OBJECT_SIZE, offset, data)
         end = offset + len(data)
         if end > st["size"]:
             yield from self.fs_request("setattr", path, {"size": end})
@@ -181,29 +167,15 @@ class FsClient(MonitorClient):
     def fs_read(self: Any, path: str, offset: int = 0,
                 length: Optional[int] = None) -> Generator:
         """Read file data; holes (never-written stripes) read as zeros."""
-        from repro.errors import NotFound
-
         st = yield from self._file_ino(path)
         size = st["size"]
         if offset >= size:
             return b""
         end = size if length is None else min(size, offset + length)
-        ino, bs = st["ino"], self.FILE_OBJECT_SIZE
-        out = bytearray()
-        cursor = offset
-        while cursor < end:
-            block, block_off = divmod(cursor, bs)
-            want = min(bs - block_off, end - cursor)
-            try:
-                chunk = yield from self.rados_read(
-                    self.FILE_DATA_POOL, self._file_object(ino, block),
-                    block_off, want)
-            except NotFound:
-                chunk = b""
-            out.extend(chunk)
-            out.extend(b"\x00" * (want - len(chunk)))
-            cursor += want
-        return bytes(out)
+        data = yield from self.rados_read_striped(
+            self.FILE_DATA_POOL, f"ino.{st['ino']:016x}",
+            self.FILE_OBJECT_SIZE, offset, end - offset)
+        return data
 
     # ------------------------------------------------------------------
     # Sequencer operations (cap-aware fast path)

@@ -3,7 +3,10 @@
 Clients compute object placement themselves from the cached OSD map
 and talk straight to the primary.  A ``NotPrimary`` rejection, daemon
 failure, or timeout triggers a map refresh from the monitors and a
-retry — the standard RADOS client loop.
+retry — the standard RADOS client loop.  Ops, watches and notifies all
+take that one loop (``_primary_call``), and file data and block images
+share one striper over it (``rados_write_striped`` /
+``rados_read_striped``).
 """
 
 from __future__ import annotations
@@ -13,12 +16,18 @@ from typing import Any, Dict, Generator, List, Optional
 from repro.errors import (
     DaemonDown,
     MalacologyError,
+    NotFound,
     NotPrimary,
     TimeoutError_,
 )
 from repro.monitor.monitor import MonitorClient
 from repro.rados.placement import locate
 from repro.sim.event import Timeout
+
+
+def striped_object(prefix: str, index: int) -> str:
+    """Name of the ``index``-th object of a striped stream."""
+    return f"{prefix}.{index:08x}"
 
 
 class RadosClient(MonitorClient):
@@ -40,10 +49,13 @@ class RadosClient(MonitorClient):
     # ------------------------------------------------------------------
     # Core op submission
     # ------------------------------------------------------------------
-    def rados_op(self: Any, pool: str, oid: str,
-                 ops: List[Dict[str, Any]],
-                 epoch: Optional[int] = None) -> Generator:
-        """Apply an op list to one object; returns per-op results."""
+    def _primary_call(self: Any, pool: str, oid: str, method: str,
+                      payload: Dict[str, Any]) -> Generator:
+        """Call the object's primary; returns ``(primary, reply)``.
+
+        On a placement error, an empty acting set, ``NotPrimary``, a
+        down daemon or a timeout, refresh the map and try again.
+        """
         last_error: Optional[MalacologyError] = None
         for attempt in range(self.OSD_RETRIES):
             osdmap = self.cached_maps.get("osd")
@@ -60,15 +72,22 @@ class RadosClient(MonitorClient):
                 yield Timeout(self.RETRY_BACKOFF)
                 continue
             try:
-                results = yield self.call(
-                    acting[0], "osd_op",
-                    {"pool": pool, "oid": oid, "ops": ops, "epoch": epoch},
-                    timeout=self.OSD_TIMEOUT)
-                return results
+                reply = yield self.call(acting[0], method, payload,
+                                        timeout=self.OSD_TIMEOUT)
+                return acting[0], reply
             except (NotPrimary, DaemonDown, TimeoutError_) as exc:
                 last_error = exc
                 yield Timeout(self.RETRY_BACKOFF)
-        raise last_error or DaemonDown(f"osd op on {pool}/{oid} failed")
+        raise last_error or DaemonDown(f"{method} on {pool}/{oid} failed")
+
+    def rados_op(self: Any, pool: str, oid: str,
+                 ops: List[Dict[str, Any]],
+                 epoch: Optional[int] = None) -> Generator:
+        """Apply an op list to one object; returns per-op results."""
+        _, results = yield from self._primary_call(
+            pool, oid, "osd_op",
+            {"pool": pool, "oid": oid, "ops": ops, "epoch": epoch})
+        return results
 
     # ------------------------------------------------------------------
     # Convenience wrappers
@@ -132,6 +151,38 @@ class RadosClient(MonitorClient):
         return results[0]
 
     # ------------------------------------------------------------------
+    # Striping (file data and block images)
+    # ------------------------------------------------------------------
+    def rados_write_striped(self: Any, pool: str, prefix: str,
+                            object_size: int, offset: int,
+                            data: bytes) -> Generator:
+        """Write at ``offset`` of a stream striped over the objects
+        ``<prefix>.<index:08x>`` of ``object_size`` bytes each."""
+        done = 0
+        while done < len(data):
+            index, obj_off = divmod(offset + done, object_size)
+            chunk = data[done:done + object_size - obj_off]
+            yield from self.rados_write(pool, striped_object(prefix, index),
+                                        obj_off, chunk)
+            done += len(chunk)
+
+    def rados_read_striped(self: Any, pool: str, prefix: str,
+                           object_size: int, offset: int,
+                           length: int) -> Generator:
+        """Read a striped stream; never-written bytes read as zeros."""
+        out = bytearray()
+        while len(out) < length:
+            index, obj_off = divmod(offset + len(out), object_size)
+            want = min(object_size - obj_off, length - len(out))
+            try:
+                chunk = yield from self.rados_read(
+                    pool, striped_object(prefix, index), obj_off, want)
+            except NotFound:
+                chunk = b""  # thin-provisioned hole
+            out += chunk.ljust(want, b"\x00")
+        return bytes(out)
+
+    # ------------------------------------------------------------------
     # Watch / notify
     # ------------------------------------------------------------------
     def init_watch_client(self: Any) -> None:
@@ -154,27 +205,6 @@ class RadosClient(MonitorClient):
             callback(payload["pool"], payload["oid"],
                      payload["payload"], payload["notifier"])
 
-    def _watch_op(self: Any, method: str, pool: str,
-                  oid: str) -> Generator:
-        last_error: Optional[MalacologyError] = None
-        for attempt in range(self.OSD_RETRIES):
-            osdmap = self.cached_maps.get("osd")
-            if osdmap is None or attempt > 0:
-                osdmap = yield from self.mon_get_map("osd")
-            _, acting = locate(osdmap, pool, oid)
-            if not acting:
-                yield Timeout(self.RETRY_BACKOFF)
-                continue
-            try:
-                yield self.call(acting[0], method,
-                                {"pool": pool, "oid": oid},
-                                timeout=self.OSD_TIMEOUT)
-                return acting[0]
-            except (NotPrimary, DaemonDown, TimeoutError_) as exc:
-                last_error = exc
-                yield Timeout(self.RETRY_BACKOFF)
-        raise last_error or DaemonDown(f"{method} on {pool}/{oid} failed")
-
     def rados_watch(self: Any, pool: str, oid: str,
                     callback: Any) -> Generator:
         """Subscribe to notifications on one object.
@@ -189,7 +219,8 @@ class RadosClient(MonitorClient):
         if not hasattr(self, "_watch_callbacks"):
             raise RuntimeError("call init_watch_client() first")
         self._watch_callbacks[(pool, oid)] = callback
-        primary = yield from self._watch_op("osd_watch", pool, oid)
+        primary, _ = yield from self._primary_call(
+            pool, oid, "osd_watch", {"pool": pool, "oid": oid})
         self._watch_primaries[(pool, oid)] = primary
         self._ensure_watch_guard()
         return primary
@@ -197,7 +228,8 @@ class RadosClient(MonitorClient):
     def rados_unwatch(self: Any, pool: str, oid: str) -> Generator:
         getattr(self, "_watch_callbacks", {}).pop((pool, oid), None)
         getattr(self, "_watch_primaries", {}).pop((pool, oid), None)
-        yield from self._watch_op("osd_unwatch", pool, oid)
+        yield from self._primary_call(pool, oid, "osd_unwatch",
+                                      {"pool": pool, "oid": oid})
 
     # ------------------------------------------------------------------
     # Watch re-establishment guard
@@ -240,8 +272,8 @@ class RadosClient(MonitorClient):
             if alive:
                 continue
             try:
-                new_primary = yield from self._watch_op("osd_watch",
-                                                        pool, oid)
+                new_primary, _ = yield from self._primary_call(
+                    pool, oid, "osd_watch", {"pool": pool, "oid": oid})
             except MalacologyError:
                 continue  # cluster still settling; retry next tick
             self._watch_primaries[key] = new_primary
@@ -250,25 +282,10 @@ class RadosClient(MonitorClient):
     def rados_notify(self: Any, pool: str, oid: str,
                      payload: Any = None) -> Generator:
         """Notify all watchers of an object; returns watcher count."""
-        last_error: Optional[MalacologyError] = None
-        for attempt in range(self.OSD_RETRIES):
-            osdmap = self.cached_maps.get("osd")
-            if osdmap is None or attempt > 0:
-                osdmap = yield from self.mon_get_map("osd")
-            _, acting = locate(osdmap, pool, oid)
-            if not acting:
-                yield Timeout(self.RETRY_BACKOFF)
-                continue
-            try:
-                count = yield self.call(acting[0], "osd_notify",
-                                        {"pool": pool, "oid": oid,
-                                         "payload": payload},
-                                        timeout=self.OSD_TIMEOUT)
-                return count
-            except (NotPrimary, DaemonDown, TimeoutError_) as exc:
-                last_error = exc
-                yield Timeout(self.RETRY_BACKOFF)
-        raise last_error or DaemonDown(f"notify on {pool}/{oid} failed")
+        _, count = yield from self._primary_call(
+            pool, oid, "osd_notify",
+            {"pool": pool, "oid": oid, "payload": payload})
+        return count
 
     # ------------------------------------------------------------------
     # Pool administration

@@ -433,10 +433,13 @@ class OSD(Daemon, MonitorClient):
     # ------------------------------------------------------------------
     # Client I/O path
     # ------------------------------------------------------------------
-    def _h_osd_op(self, src: str, payload: Dict[str, Any]) -> Generator:
-        pool = payload["pool"]
-        oid = payload["oid"]
-        ops = payload["ops"]
+    def _primary_for(self, pool: str,
+                     oid: str) -> Tuple[OSDMap, int, List[str]]:
+        """``(map, pgid, acting)`` if this OSD is the object's primary.
+
+        Raises ``DaemonDown`` while booting (the client retries) and
+        ``NotPrimary`` when the client's map is stale.
+        """
         m = self.osdmap
         if m is None or not self.booted:
             raise DaemonDown(f"{self.name} still booting")
@@ -449,6 +452,13 @@ class OSD(Daemon, MonitorClient):
             raise NotPrimary(
                 f"{self.name} is not primary for {pool}/{pgid} "
                 f"(epoch {m.epoch})")
+        return m, pgid, acting
+
+    def _h_osd_op(self, src: str, payload: Dict[str, Any]) -> Generator:
+        pool = payload["pool"]
+        oid = payload["oid"]
+        ops = payload["ops"]
+        m, pgid, acting = self._primary_for(pool, oid)
         self.perf.incr("op.in")
         for op in ops:
             if op.get("op") == "exec":
@@ -760,22 +770,13 @@ class OSD(Daemon, MonitorClient):
     # ------------------------------------------------------------------
     # Watch / notify
     # ------------------------------------------------------------------
-    def _require_primary(self, pool: str, oid: str) -> None:
-        m = self.osdmap
-        if m is None or pool not in m.pools:
-            raise InvalidArgument(f"pool {pool!r} unknown")
-        pgid = pg_of(oid, m.pool(pool)["pg_num"])
-        acting = acting_set(m, pool, pgid)
-        if not acting or acting[0] != self.name:
-            raise NotPrimary(f"{self.name} not primary for {pool}/{oid}")
-
     def _h_watch(self, src: str, payload: Dict[str, Any]) -> bool:
         """Register the caller for notifications on one object.
 
         Watches are volatile (lost on OSD failover, like librados
         watch sessions) — clients re-establish after errors.
         """
-        self._require_primary(payload["pool"], payload["oid"])
+        self._primary_for(payload["pool"], payload["oid"])
         key = (payload["pool"], payload["oid"])
         self.watchers.setdefault(key, set()).add(src)
         return True
@@ -796,13 +797,13 @@ class OSD(Daemon, MonitorClient):
         (or ``NotPrimary`` after a failover) tells the client its watch
         session died and must be re-established.
         """
-        self._require_primary(payload["pool"], payload["oid"])
+        self._primary_for(payload["pool"], payload["oid"])
         key = (payload["pool"], payload["oid"])
         return src in self.watchers.get(key, ())
 
     def _h_notify(self, src: str, payload: Dict[str, Any]) -> int:
         """Fan a notification out to every watcher; returns the count."""
-        self._require_primary(payload["pool"], payload["oid"])
+        self._primary_for(payload["pool"], payload["oid"])
         key = (payload["pool"], payload["oid"])
         targets = sorted(self.watchers.get(key, ()))
         for watcher in targets:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.errors import InvalidArgument, NotFound
+from repro.rados.client import striped_object
 
 
 class Image:
@@ -37,8 +38,12 @@ class Image:
     def header_object(self) -> str:
         return f"rbd_header.{self.name}"
 
+    @property
+    def data_prefix(self) -> str:
+        return f"rbd_data.{self.name}"
+
     def data_object(self, index: int) -> str:
-        return f"rbd_data.{self.name}.{index:08x}"
+        return striped_object(self.data_prefix, index)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -113,33 +118,15 @@ class Image:
 
     def write(self, offset: int, data: bytes) -> Generator:
         self._check_range(offset, len(data))
-        cursor = offset
-        remaining = data
-        while remaining:
-            index, obj_off = divmod(cursor, self.object_size)
-            chunk = remaining[: self.object_size - obj_off]
-            yield from self.client.rados_write(
-                self.POOL, self.data_object(index), obj_off, chunk)
-            cursor += len(chunk)
-            remaining = remaining[len(chunk):]
+        yield from self.client.rados_write_striped(
+            self.POOL, self.data_prefix, self.object_size, offset, data)
 
     def read(self, offset: int, length: int) -> Generator:
+        """Read a range; never-written objects read as zeros."""
         self._check_range(offset, length)
-        out = bytearray()
-        cursor = offset
-        end = offset + length
-        while cursor < end:
-            index, obj_off = divmod(cursor, self.object_size)
-            want = min(self.object_size - obj_off, end - cursor)
-            try:
-                chunk = yield from self.client.rados_read(
-                    self.POOL, self.data_object(index), obj_off, want)
-            except NotFound:
-                chunk = b""  # thin-provisioned hole reads as zeros
-            out.extend(chunk)
-            out.extend(b"\x00" * (want - len(chunk)))
-            cursor += want
-        return bytes(out)
+        data = yield from self.client.rados_read_striped(
+            self.POOL, self.data_prefix, self.object_size, offset, length)
+        return data
 
     def __repr__(self) -> str:
         return f"Image({self.name!r}, {self.size}B/{self.object_size}B)"

@@ -39,12 +39,11 @@ def test_file_striping_across_objects(cluster):
     # Partial reads spanning a stripe boundary.
     assert c.do(c.admin.fs_read("/files/big", bs - 10, 20)) == \
         blob[bs - 10: bs + 10]
-    # The data genuinely striped over multiple RADOS objects.
-    st = c.do(c.admin.fs_stat("/files/big"))
-    obj0 = c.do(c.admin.rados_stat(
-        "data", c.admin._file_object(st["ino"], 0)))
-    obj1 = c.do(c.admin.rados_stat(
-        "data", c.admin._file_object(st["ino"], 1)))
+    # The data genuinely striped over multiple RADOS objects, named
+    # ino.<ino:016x>.<block:08x>.
+    ino = c.do(c.admin.fs_stat("/files/big"))["ino"]
+    obj0 = c.do(c.admin.rados_stat("data", f"ino.{ino:016x}.00000000"))
+    obj1 = c.do(c.admin.rados_stat("data", f"ino.{ino:016x}.00000001"))
     assert obj0["size"] == bs and obj1["size"] == bs
 
 
@@ -124,7 +123,7 @@ def test_image_resize_shrink_trims_objects(cluster):
     c.do(img.resize(32 * 1024))
     assert img.size == 32 * 1024
     with pytest.raises(NotFound):
-        c.do(c.admin.rados_stat("data", img.data_object(2)))
+        c.do(c.admin.rados_stat("data", "rbd_data.shrinky.00000002"))
     # Growing back exposes zeros, not stale data.
     c.do(img.resize(96 * 1024))
     assert c.do(img.read(80 * 1024, 6)) == b"\x00" * 6

@@ -75,3 +75,28 @@ def test_watches_are_volatile_across_osd_failover(cluster):
     assert count == 1
     c.run(1.0)
     assert w.events == ["back"]
+
+
+def test_watch_and_notify_refresh_a_map_that_predates_the_pool(cluster):
+    """Watch and notify take the same map-refreshing loop as ops.
+
+    ``b`` caches the OSD map before pool ``fresh`` exists; placing an
+    object in it fails until the client refreshes the map.
+    """
+    c = cluster
+    b = watcher_client(c, "b")
+    c.sim.run_until_complete(b.do(b.mon_get_map("osd")))
+    c.do(c.admin.rados_create_pool("fresh", size=2, pg_num=8))
+    c.do(c.admin.rados_write_full("fresh", "o", b"x"))
+    assert "fresh" not in b.cached_maps["osd"].pools
+    count = c.sim.run_until_complete(
+        b.do(b.rados_notify("fresh", "o", "hello")))
+    assert count == 0
+    cb = lambda pool, oid, payload, notifier: b.events.append(payload)
+    primary = c.sim.run_until_complete(
+        b.do(b.rados_watch("fresh", "o", cb)))
+    _, acting = locate(c.mons[0].store.osdmap, "fresh", "o")
+    assert primary == acting[0]
+    assert c.do(c.admin.rados_notify("fresh", "o", "again")) == 1
+    c.run(1.0)
+    assert b.events == ["again"]
