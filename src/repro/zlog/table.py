@@ -58,6 +58,8 @@ class TransactionalTable:
     def sync(self) -> Generator:
         """Replay committed log entries up to the tail."""
         for pos, entry in (yield from self.log.replay(self._applied)):
+            if pos < self._applied:
+                continue  # a concurrent sync applied it first
             self._apply(pos, entry)
             self._applied = pos + 1
 

@@ -131,6 +131,25 @@ def test_transact_that_read_a_deleted_key_aborts_and_retries():
     assert run(other.get("x")) == 10
 
 
+def test_two_interleaved_syncs_apply_each_entry_once():
+    class PausingLog(MemoryLog):
+        def tail(self):
+            yield "paused"  # a replay suspends here, as on a real log
+            return len(self.slots)
+
+    log = PausingLog([written(txn({}, {"x": 1})),
+                      written(txn({"x": 0}, {"x": 2}))])
+    table = TransactionalTable(log)
+    first, second = table.sync(), table.sync()
+    assert next(first) == next(second) == "paused"  # both start at 0
+    for sync in (first, second):
+        with pytest.raises(StopIteration):
+            sync.send(None)
+    assert table._verdicts == {0: True, 1: True}
+    assert table.commits == 2 and table.aborts == 0
+    assert table._state["x"] == (2, 1)
+
+
 def test_stripe_layout_positions_cover_all_objects_evenly():
     layout = StripeLayout("even", width=4)
     counts = {}
