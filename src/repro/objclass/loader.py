@@ -67,14 +67,8 @@ def compile_class_source(name: str,
     Raises :class:`PolicyError` on syntax errors, missing/invalid
     ``METHODS``, or any exception escaping module execution.
     """
-    namespace: Dict[str, Any] = {"__builtins__": dict(SAFE_BUILTINS)}
-    namespace.update(SANDBOX_ERRORS)
-    try:
-        code = compile(source, filename=f"<objclass:{name}>", mode="exec")
-    except SyntaxError as exc:
-        raise PolicyError(f"class {name!r} failed to compile: {exc}") from exc
-    with sandbox_guard(f"class {name!r} failed during load"):
-        exec(code, namespace)  # noqa: S102 - sandboxed namespace
+    namespace = _exec_sandboxed(f"class {name!r}", f"<objclass:{name}>",
+                                "failed during load", source, {})
     methods = namespace.get("METHODS")
     if not isinstance(methods, dict) or not methods:
         raise PolicyError(
@@ -95,14 +89,21 @@ def compile_policy_source(name: str, source: str,
     ``extra_env`` injects the Mantle API (``mds`` table, ``whoami``,
     ``targets``, ...) before execution.
     """
+    return _exec_sandboxed(f"policy {name!r}", f"<policy:{name}>",
+                           "failed to run", source, extra_env)
+
+
+def _exec_sandboxed(label: str, filename: str, run_failure: str,
+                    source: str,
+                    extra_env: Dict[str, Any]) -> Dict[str, Any]:
+    """Run ``source`` in a fresh sandboxed namespace; returns it."""
     namespace: Dict[str, Any] = {"__builtins__": dict(SAFE_BUILTINS)}
     namespace.update(SANDBOX_ERRORS)
     namespace.update(extra_env)
     try:
-        code = compile(source, filename=f"<policy:{name}>", mode="exec")
+        code = compile(source, filename=filename, mode="exec")
     except SyntaxError as exc:
-        raise PolicyError(
-            f"policy {name!r} failed to compile: {exc}") from exc
-    with sandbox_guard(f"policy {name!r} failed to run"):
+        raise PolicyError(f"{label} failed to compile: {exc}") from exc
+    with sandbox_guard(f"{label} {run_failure}"):
         exec(code, namespace)  # noqa: S102 - sandboxed namespace
     return namespace
