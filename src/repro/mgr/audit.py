@@ -16,17 +16,17 @@ one cluster-wide, time-ordered decision history.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional
 
 
 class MantleAuditTrail:
     """Bounded ring of balancer tick records for one MDS."""
 
-    def __init__(self, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("audit trail needs capacity >= 1")
-        self.capacity = capacity
-        self._records: List[Dict[str, Any]] = []
+    CAPACITY = 512
+
+    def __init__(self) -> None:
+        self._records: Deque[Dict[str, Any]] = deque(maxlen=self.CAPACITY)
         self._seq = 0
 
     def __len__(self) -> int:
@@ -64,8 +64,6 @@ class MantleAuditTrail:
         if error is not None:
             entry["error"] = error
         self._records.append(entry)
-        if len(self._records) > self.capacity:
-            del self._records[: len(self._records) - self.capacity]
         return entry
 
     def records(self, since_seq: int = 0) -> List[Dict[str, Any]]:

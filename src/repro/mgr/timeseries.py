@@ -18,7 +18,8 @@ simulated time consumed — observing the cluster must never perturb it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 Sample = Tuple[float, float]
 
@@ -26,19 +27,17 @@ Sample = Tuple[float, float]
 class MetricSeries:
     """Ring buffer of (time, value) samples for one metric.
 
-    Capacity-bounded: recording the ``capacity+1``-th sample drops the
-    oldest.  Times must be non-decreasing (the mgr scrapes on a fixed
-    period of the simulated clock, so they always are).
+    Recording the ``CAPACITY+1``-th sample drops the oldest.  Times
+    must be non-decreasing (the mgr scrapes on a fixed period of the
+    simulated clock, so they always are).
     """
 
-    __slots__ = ("capacity", "_samples", "_start")
+    __slots__ = ("_samples",)
 
-    def __init__(self, capacity: int = 256):
-        if capacity < 2:
-            raise ValueError("a series needs capacity >= 2")
-        self.capacity = capacity
-        self._samples: List[Sample] = []
-        self._start = 0  # ring head index into _samples
+    CAPACITY = 256
+
+    def __init__(self) -> None:
+        self._samples: Deque[Sample] = deque(maxlen=self.CAPACITY)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -48,25 +47,14 @@ class MetricSeries:
         if last is not None and t < last[0]:
             raise ValueError(
                 f"series time went backwards: {t} < {last[0]}")
-        if len(self._samples) < self.capacity:
-            self._samples.append((t, value))
-        else:
-            self._samples[self._start] = (t, value)
-            self._start = (self._start + 1) % self.capacity
+        self._samples.append((t, value))
 
     def samples(self) -> List[Sample]:
         """All retained samples, oldest first."""
-        return self._samples[self._start:] + self._samples[:self._start]
+        return list(self._samples)
 
     def latest(self) -> Optional[Sample]:
-        if not self._samples:
-            return None
-        return self._samples[self._start - 1]
-
-    def oldest(self) -> Optional[Sample]:
-        if not self._samples:
-            return None
-        return self._samples[self._start % len(self._samples)]
+        return self._samples[-1] if self._samples else None
 
     def window(self, since: float) -> List[Sample]:
         """Samples with time >= ``since``, oldest first."""
@@ -92,13 +80,6 @@ class MetricSeries:
         if len(pts) < 2 or pts[-1][0] <= pts[0][0]:
             return 0.0
         return _increase(pts) / (pts[-1][0] - pts[0][0])
-
-    def mean(self, window: Optional[float] = None) -> float:
-        """Mean sample value across the window (0.0 when empty)."""
-        pts = self._span(window)
-        if not pts:
-            return 0.0
-        return sum(v for _, v in pts) / len(pts)
 
     def min_over(self, window: Optional[float] = None) -> float:
         """Smallest sample value across the window (0.0 when empty)."""
@@ -129,8 +110,7 @@ class DaemonSeries:
     mean latency of any window is Δsum / Δcount.
     """
 
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._series: Dict[str, MetricSeries] = {}
 
     def paths(self) -> List[str]:
@@ -139,7 +119,7 @@ class DaemonSeries:
     def series(self, path: str) -> MetricSeries:
         s = self._series.get(path)
         if s is None:
-            s = self._series[path] = MetricSeries(self.capacity)
+            s = self._series[path] = MetricSeries()
         return s
 
     def maybe(self, path: str) -> Optional[MetricSeries]:

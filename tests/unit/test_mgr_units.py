@@ -36,18 +36,17 @@ from repro.telemetry import PerfCounters
 # MetricSeries
 # ----------------------------------------------------------------------
 def test_series_ring_drops_oldest():
-    s = MetricSeries(capacity=4)
-    for i in range(7):
+    s = MetricSeries()
+    n = MetricSeries.CAPACITY
+    for i in range(n + 3):
         s.record(float(i), float(i * 10))
-    assert len(s) == 4
-    assert s.samples() == [(3.0, 30.0), (4.0, 40.0), (5.0, 50.0),
-                           (6.0, 60.0)]
-    assert s.oldest() == (3.0, 30.0)
-    assert s.latest() == (6.0, 60.0)
+    assert len(s) == n
+    assert s.samples()[:2] == [(3.0, 30.0), (4.0, 40.0)]
+    assert s.latest() == (float(n + 2), float((n + 2) * 10))
 
 
 def test_series_rejects_time_going_backwards():
-    s = MetricSeries(capacity=4)
+    s = MetricSeries()
     s.record(5.0, 1.0)
     with pytest.raises(ValueError):
         s.record(4.0, 2.0)
@@ -55,7 +54,7 @@ def test_series_rejects_time_going_backwards():
 
 
 def test_series_delta_and_rate():
-    s = MetricSeries(capacity=16)
+    s = MetricSeries()
     for t in range(11):
         s.record(float(t), float(t * 3))  # 3 events/s counter
     assert s.delta() == 30.0
@@ -63,9 +62,9 @@ def test_series_delta_and_rate():
     assert s.delta(window=4.0) == 12.0
     assert s.rate(window=4.0) == pytest.approx(3.0)
     # Degenerate cases answer 0.0, not crash.
-    empty = MetricSeries(capacity=4)
+    empty = MetricSeries()
     assert empty.delta() == 0.0 and empty.rate() == 0.0
-    single = MetricSeries(capacity=4)
+    single = MetricSeries()
     single.record(1.0, 99.0)
     assert single.rate() == 0.0
 
@@ -73,7 +72,7 @@ def test_series_delta_and_rate():
 def test_series_delta_counts_a_restart_from_zero():
     # A daemon restart resets its counters: the drop is a restart, and
     # the events after it still count (Prometheus increase()).
-    s = MetricSeries(capacity=16)
+    s = MetricSeries()
     for t, v in enumerate([55.0, 60.0, 65.0, 5.0, 10.0, 15.0]):
         s.record(float(t * 2), v)
     assert s.delta() == 25.0
@@ -92,26 +91,19 @@ def test_paxos_stall_check_survives_a_monitor_restart():
     assert paxos_stall(sample) is None
 
 
-def test_series_mean_and_min_over_window():
-    s = MetricSeries(capacity=16)
+def test_series_min_over_window():
+    s = MetricSeries()
     for t, v in [(0.0, 10.0), (1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]:
         s.record(t, v)
-    assert s.mean() == pytest.approx(5.5)
-    assert s.mean(window=2.0) == pytest.approx(4.0)  # t in [1, 3]
     assert s.min_over() == 2.0
     assert s.min_over(window=1.0) == 4.0  # t in [2, 3]
-
-
-def test_series_capacity_floor():
-    with pytest.raises(ValueError):
-        MetricSeries(capacity=1)
 
 
 # ----------------------------------------------------------------------
 # DaemonSeries: dump flattening
 # ----------------------------------------------------------------------
 def test_daemon_series_flattens_dump():
-    ds = DaemonSeries(capacity=8)
+    ds = DaemonSeries()
     dump = {
         "counters": {"paxos.commit": 42},
         "gauges": {"pg.count": 16, "role": "leader", "up": True},
@@ -341,17 +333,18 @@ def test_prometheus_parser_is_strict():
 # Mantle audit trail
 # ----------------------------------------------------------------------
 def test_audit_trail_ring_and_since_seq():
-    trail = MantleAuditTrail(capacity=3)
-    for i in range(5):
+    trail = MantleAuditTrail()
+    n = MantleAuditTrail.CAPACITY
+    for i in range(n + 2):
         trail.record(float(i), rank=0, policy="v1", status="decided")
-    assert len(trail) == 3
+    assert len(trail) == n
     seqs = [r["seq"] for r in trail.records()]
-    assert seqs == [3, 4, 5]  # oldest dropped, seq keeps counting
-    assert [r["seq"] for r in trail.records(since_seq=4)] == [5]
+    assert seqs == list(range(3, n + 3))  # oldest dropped, seq counts on
+    assert [r["seq"] for r in trail.records(since_seq=n + 1)] == [n + 2]
     trail.clear()
     assert trail.records() == []
     nxt = trail.record(9.0, rank=0, policy="v1", status="decided")
-    assert nxt["seq"] == 6  # never reissues seen sequence numbers
+    assert nxt["seq"] == n + 3  # never reissues seen sequence numbers
 
 
 def test_audit_trail_record_shape():
