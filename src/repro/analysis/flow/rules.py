@@ -63,8 +63,8 @@ PROTECTED_SURFACES: Dict[str, Dict] = {
     "mds": {
         "plane": "caps",
         "roots": {
-            "locker": {"try_grant", "release", "drop_ino",
-                       "mark_revoking"},
+            "locker": {"try_grant", "release", "next_waiter",
+                       "drop_ino", "mark_revoking"},
         },
     },
 }

@@ -259,10 +259,6 @@ class FileSuppressions:
         return kept
 
 
-#: Backwards-compatible alias (pre-flow name).
-_FileSuppressions = FileSuppressions
-
-
 class Linter:
     """Drive a rule set over files and directories."""
 

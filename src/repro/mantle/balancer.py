@@ -30,7 +30,7 @@ from repro.errors import (
 from repro.mantle.policy import MantlePolicy
 from repro.mds.server import MDS, METADATA_POOL
 from repro.mgr.audit import MantleAuditTrail
-from repro.sim.event import Future, Timeout
+from repro.sim.event import Future
 
 
 class MantleBalancer:
@@ -45,8 +45,6 @@ class MantleBalancer:
         self.mds = mds
         self.policy: Optional[MantlePolicy] = default_policy
         self.state: Dict[str, Any] = {}
-        #: Bench hook: fn(decision_dict) after each tick that migrated.
-        self.decision_hook: Optional[Any] = None
         #: Decision audit trail; the mgr collects it via the
         #: ``mantle.audit`` admin command during its scrape.
         self.audit = MantleAuditTrail()
@@ -233,9 +231,6 @@ class MantleBalancer:
                 yield from mds.migrate_subtree(path, rank)
             if picked:
                 migrated[rank] = picked
-        if migrated and self.decision_hook is not None:
-            self.decision_hook({"time": now, "from": mds.rank,
-                                "moves": migrated})
         if migrated:
             yield from mds.mon_log(
                 "INF", f"mantle: mds.{mds.rank} migrated "

@@ -25,10 +25,11 @@ map (``lease_policy``) and per file type overrides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import InvalidArgument
+from repro.sim.event import Future
 
 #: Policy modes.
 BEST_EFFORT = "best-effort"
@@ -89,7 +90,8 @@ class Capability:
 
 
 class Locker:
-    """Per-MDS capability table: grants, revokes, waiter queues.
+    """Per-MDS capability table: for each inode, the holder and the
+    queue of waiters, each waiter with the future its grant settles.
 
     Invariant (property-tested): at most one client holds the cap on
     any inode at any time; grants happen only after the previous
@@ -98,7 +100,8 @@ class Locker:
 
     def __init__(self) -> None:
         self._caps: Dict[int, Capability] = {}
-        self._waiters: Dict[int, List[str]] = {}
+        #: ino -> client -> grant future, in FIFO (insertion) order
+        self._waiters: Dict[int, Dict[str, Future]] = {}
         self._seq = 0
 
     def holder_of(self, ino: int) -> Optional[Capability]:
@@ -108,18 +111,20 @@ class Locker:
         return sorted(self._caps)
 
     def try_grant(self, ino: int, client: str, now: float,
-                  policy: LeasePolicy) -> Optional[Capability]:
+                  policy: LeasePolicy) -> Union[Capability, Future]:
         """Grant if free (or already held by this client); else queue.
 
-        Returns the capability on success, None when the client was
-        queued behind the current holder.
+        Returns the capability on success.  A client queued behind the
+        current holder gets its grant future instead — the same one
+        each time it asks until :meth:`next_waiter` dequeues it.
         """
         cap = self._caps.get(ino)
         if cap is not None and cap.client != client:
-            waiters = self._waiters.setdefault(ino, [])
-            if client not in waiters:
-                waiters.append(client)
-            return None
+            waiters = self._waiters.setdefault(ino, {})
+            fut = waiters.get(client)
+            if fut is None:
+                fut = waiters[client] = Future(name=f"grant:{ino}:{client}")
+            return fut
         if cap is not None:
             return cap  # re-grant to the same holder (refresh)
         self._seq += 1
@@ -158,34 +163,24 @@ class Locker:
         del self._caps[ino]
         return True
 
-    def next_waiter(self, ino: int) -> Optional[str]:
+    def next_waiter(self, ino: int) -> Optional[Tuple[str, Future]]:
+        """Dequeue the longest waiter: its name and grant future."""
         waiters = self._waiters.get(ino)
         if not waiters:
             return None
-        client = waiters.pop(0)
+        client = next(iter(waiters))
+        fut = waiters.pop(client)
         if not waiters:
             del self._waiters[ino]
-        return client
+        return client, fut
 
-    def drop_client(self, client: str) -> List[int]:
-        """Forget a failed client; returns inos freed by its demise.
+    def queued(self) -> List[Future]:
+        """Every waiter's grant future, inode by inode in queue order."""
+        return [fut for waiters in self._waiters.values()
+                for fut in waiters.values()]
 
-        The timeout-based eviction path of section 5.2.2 ("a timeout is
-        used to determine when a client should be considered
-        unavailable") feeds this.
-        """
-        freed = []
-        for ino in list(self._caps):
-            if self._caps[ino].client == client:
-                del self._caps[ino]
-                freed.append(ino)
-        for ino, waiters in list(self._waiters.items()):
-            self._waiters[ino] = [w for w in waiters if w != client]
-            if not self._waiters[ino]:
-                del self._waiters[ino]
-        return freed
-
-    def drop_ino(self, ino: int) -> None:
-        """Forget all cap state for an inode (it migrated away)."""
+    def drop_ino(self, ino: int) -> List[Future]:
+        """Forget all cap state for an inode (unlinked or migrated
+        away); returns its waiters' futures for the caller to fail."""
         self._caps.pop(ino, None)
-        self._waiters.pop(ino, None)
+        return list(self._waiters.pop(ino, {}).values())

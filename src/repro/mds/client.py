@@ -23,7 +23,7 @@ from repro.errors import (
 )
 from repro.mds.capability import BEST_EFFORT, DELAY, QUOTA
 from repro.monitor.monitor import MonitorClient
-from repro.sim.event import Timeout
+from repro.sim.event import Future, Timeout
 
 
 class FsClient(MonitorClient):
@@ -202,17 +202,11 @@ class FsClient(MonitorClient):
                 pos = cap["embedded"]["tail"]
                 cap["embedded"]["tail"] = pos + 1
                 cap["ops"] += 1
-                self.seq_trace.append((self.sim.now, pos))
                 self._maybe_voluntary_release(path, cap)
-                self.perf.time("seq.next", self.sim.now - started,
-                               retain=True)
-                return pos
+                break
             if self._round_trip_valid(path):
                 pos = yield from self.fs_exec(path, "next")
-                self.seq_trace.append((self.sim.now, pos))
-                self.perf.time("seq.next", self.sim.now - started,
-                               retain=True)
-                return pos
+                break
             pending_release = self._releasing.get(path)
             if pending_release is not None:
                 yield pending_release
@@ -222,12 +216,12 @@ class FsClient(MonitorClient):
                 m = self.cached_maps.get("mds")
                 self._round_trip[path] = m.epoch if m else 0
                 pos = yield from self.fs_exec(path, "next")
-                self.seq_trace.append((self.sim.now, pos))
-                self.perf.time("seq.next", self.sim.now - started,
-                               retain=True)
-                return pos
+                break
             self.perf.incr("cap.acquired")
             self._adopt_grant(path, grant)
+        self.seq_trace.append((self.sim.now, pos))
+        self.perf.time("seq.next", self.sim.now - started, retain=True)
+        return pos
 
     def _round_trip_valid(self: Any, path: str) -> bool:
         epoch = self._round_trip.get(path)
@@ -308,8 +302,6 @@ class FsClient(MonitorClient):
         if cap is None or cap["seq"] != seq or not self.alive:
             return
         del self._caps[path]
-        from repro.sim.event import Future
-
         self._releasing[path] = Future(name=f"caprel:{path}")
         self.spawn(self._send_release(path, cap),
                    name=f"{self.name}:caprel")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import copy
 from types import GeneratorType
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, List, Optional, Set, Union
 
 from repro.errors import (
     AlreadyExists,
@@ -38,7 +38,7 @@ from repro.errors import (
     TryAgain,
     WrongMDS,
 )
-from repro.mds.capability import LeasePolicy, Locker
+from repro.mds.capability import Capability, LeasePolicy, Locker
 from repro.mds.inode import DIR, FILE, Inode, InoAllocator, ROOT_INO
 from repro.mds.metrics import LoadTracker
 from repro.mds.namespace import (
@@ -95,7 +95,6 @@ class MDS(Daemon, RadosClient):
     #: the bundled ``log`` object class — the MDS is itself a consumer
     #: of the Data I/O interface.  The journal is an ordered audit/
     #: replay record; directory objects remain the authoritative state.
-    JOURNAL_ENABLED = True
     JOURNAL_TRIM_INTERVAL = 60.0
     JOURNAL_TRIM_BATCH = 200
 
@@ -110,7 +109,6 @@ class MDS(Daemon, RadosClient):
         self.allocator = InoAllocator(rank)
         self._cpu_free_at = 0.0
         self._frozen: Set[str] = set()
-        self._grant_waiters: Dict[int, Dict[str, Future]] = {}
         self.peer_loads: Dict[int, Dict[str, Any]] = {}
         #: Pluggable balancer (a ``repro.mantle.balancer.MantleBalancer``);
         #: None means no balancing at all.
@@ -161,10 +159,9 @@ class MDS(Daemon, RadosClient):
                    name=f"{self.name}:load")
         self.every(self.BALANCE_INTERVAL, self._balance_tick,
                    name=f"{self.name}:balance")
-        if self.JOURNAL_ENABLED:
-            self.every(self.JOURNAL_TRIM_INTERVAL,
-                       lambda: self._journal_trim_tick(),
-                       name=f"{self.name}:jtrim")
+        self.every(self.JOURNAL_TRIM_INTERVAL,
+                   lambda: self._journal_trim_tick(),
+                   name=f"{self.name}:jtrim")
         self.booted = True
 
     @property
@@ -332,10 +329,7 @@ class MDS(Daemon, RadosClient):
     def _op_unlink(self, src: str, path: str,
                    args: Dict[str, Any]) -> Generator:
         inode = self.ns.remove(path)
-        self.locker.drop_ino(inode.ino)
-        san = self.sim.sanitizers
-        if san is not None:
-            san.caps.on_drop(inode.ino, daemon=self)
+        self._drop_caps(inode.ino, NotFound(f"{path} was unlinked"))
         self.tracker.forget_inode(path)
         yield from self.rados_op(
             METADATA_POOL, dir_object_id(parent_of(path)),
@@ -369,7 +363,7 @@ class MDS(Daemon, RadosClient):
         if self.ns.has(to):
             raise AlreadyExists(f"{to} exists")
         if self.locker.holder_of(inode.ino) is not None:
-            yield from self._recall_cap(inode.ino)
+            yield from self._recall_cap(inode)
         self.ns.remove(path)
         self.ns.add(to, inode)
         self.tracker.forget_inode(path)
@@ -403,8 +397,6 @@ class MDS(Daemon, RadosClient):
         return f"mdsjournal.{self.rank}"
 
     def _journal(self, event: str, path: str, **extra: Any) -> Generator:
-        if not self.JOURNAL_ENABLED:
-            return
         payload = {"event": event, "path": path, "rank": self.rank}
         payload.update(extra)
         try:
@@ -439,7 +431,7 @@ class MDS(Daemon, RadosClient):
         if holder is not None and holder.client != src:
             # The embedded state is delegated to a cap holder; recall it
             # before serving the server-side op.
-            yield from self._recall_cap(inode.ino)
+            yield from self._recall_cap(inode)
         m = self.mdsmap
         internal = (m is not None and src in m.ranks.values())
         if internal:
@@ -476,37 +468,15 @@ class MDS(Daemon, RadosClient):
                 return True
         return False
 
-    def _recall_cap(self, ino: int) -> Generator:
-        fut = Future(name=f"recall:{ino}")
-        self._grant_waiters.setdefault(ino, {})["__server__"] = fut
-        path = self.ns.path_of_ino(ino)
-        if path is None:
-            return
-        # Queue like any other client so the revoke machinery fires.
-        inode = self.ns.get(path)
-        san = self.sim.sanitizers
-        server_cap = self.locker.try_grant(ino, "__server__",
-                                           self.sim.now,
-                                           self._policy_for(inode))
-        if server_cap is not None:
-            # The holder vanished between the check and the queue; we
-            # hold the grant now and release it below.
-            if san is not None:
-                san.caps.on_grant(self.name, ino, "__server__",
-                                  server_cap.seq, daemon=self)
-            self._grant_waiters[ino].pop("__server__", None)
-        else:
-            self._maybe_revoke(ino)
-            yield fut
-        # We don't keep the grant; release it right back so clients can
-        # re-acquire.  (Server-side ops and caps rarely mix in practice.)
-        cap = self.locker.holder_of(ino)
-        if cap is not None and cap.client == "__server__":
-            self.locker.release(ino, "__server__", cap.seq)
-            if san is not None:
-                san.caps.on_release(self.name, ino, "__server__",
-                                    daemon=self)
-            self._grant_next(ino)
+    def _recall_cap(self, inode: Inode) -> Generator:
+        """Queue as ``__server__`` behind the holder, then hand the cap
+        straight back.
+
+        Callers see another holder with no yield since, so this always
+        queues; concurrent recalls of one inode share the one grant.
+        """
+        grant = yield self._grant(inode, "__server__")
+        self._release(inode.ino, "__server__", grant["seq"])
 
     # ------------------------------------------------------------------
     # Capabilities (Shared Resource interface)
@@ -518,19 +488,10 @@ class MDS(Daemon, RadosClient):
         if not policy.cacheable:
             return {"cacheable": False, "policy": policy.to_dict(),
                     "ino": inode.ino}
-        cap = self.locker.try_grant(inode.ino, src, self.sim.now, policy)
-        if cap is not None:
-            self.perf.incr("cap.grant")
-            san = self.sim.sanitizers
-            if san is not None:
-                san.caps.on_grant(self.name, inode.ino, src, cap.seq,
-                                  daemon=self)
-            return self._grant_payload(inode, cap)
-        fut = Future(name=f"grant:{inode.ino}:{src}")
-        self._grant_waiters.setdefault(inode.ino, {})[src] = fut
-        self._maybe_revoke(inode.ino)
-        grant = yield fut
-        return grant
+        cap = self._grant(inode, src)
+        if isinstance(cap, Future):
+            return (yield cap)
+        return self._grant_payload(inode, cap)
 
     def _policy_for(self, inode: Inode) -> LeasePolicy:
         m = self.mdsmap
@@ -549,18 +510,63 @@ class MDS(Daemon, RadosClient):
             "granted_at": cap.granted_at,
         }
 
+    def _grant(self, inode: Inode,
+               client: str) -> Union[Capability, Future]:
+        """The one grant path: ``client``'s cap on ``inode`` now, or —
+        queued behind another holder, who is then asked to release —
+        the future that settles with its grant payload."""
+        cap = self.locker.try_grant(inode.ino, client, self.sim.now,
+                                    self._policy_for(inode))
+        if isinstance(cap, Future):
+            self._maybe_revoke(inode.ino)
+            return cap
+        self.perf.incr("cap.grant")
+        san = self.sim.sanitizers
+        if san is not None:
+            san.caps.on_grant(self.name, inode.ino, client, cap.seq,
+                              daemon=self)
+        return cap
+
+    def _release(self, ino: int, client: str, seq: int,
+                 inode: Optional[Inode] = None,
+                 dirty: Optional[Dict[str, Any]] = None) -> None:
+        """The one release path: end ``client``'s grant, fold ``dirty``
+        into ``inode``, then grant the longest waiter.
+
+        A stale release (wrong client or seq) is the echo of one
+        already processed and changes nothing.
+        """
+        if not self.locker.release(ino, client, seq):
+            return
+        self.perf.incr("cap.release")
+        san = self.sim.sanitizers
+        if san is not None:
+            san.caps.on_release(self.name, ino, client, daemon=self)
+        if inode is not None:
+            inode.merge_flush(dirty)
+        waiter = self.locker.next_waiter(ino)
+        if waiter is None:
+            return
+        # Unlink and export drop an inode's waiters with it, so a
+        # waiter's inode is always still in the namespace.
+        inode = self.ns.get(self.ns.path_of_ino(ino))
+        client, fut = waiter
+        fut.resolve_if_pending(
+            self._grant_payload(inode, self._grant(inode, client)))
+        self._maybe_revoke(ino)
+
+    def _drop_caps(self, ino: int, error: MalacologyError) -> None:
+        """Forget ``ino``'s cap; its queued waiters fail with ``error``."""
+        for fut in self.locker.drop_ino(ino):
+            fut.fail_if_pending(error)
+        san = self.sim.sanitizers
+        if san is not None:
+            san.caps.on_drop(ino, daemon=self)
+
     def _op_cap_release(self, src: str, path: str,
                         args: Dict[str, Any]) -> None:
-        ino = args["ino"]
-        inode = self.ns.get(path)
-        if self.locker.release(ino, src, args["seq"]):
-            self.perf.incr("cap.release")
-            san = self.sim.sanitizers
-            if san is not None:
-                san.caps.on_release(self.name, ino, src, daemon=self)
-            inode.merge_flush(args.get("dirty", {}))
-            self._grant_next(ino)
-        return None
+        self._release(args["ino"], src, args["seq"], self.ns.get(path),
+                      args.get("dirty", {}))
 
     def _maybe_revoke(self, ino: int) -> None:
         cap = self.locker.needs_revoke(ino)
@@ -581,44 +587,11 @@ class MDS(Daemon, RadosClient):
         Section 5.2.2: "a timeout is used to determine when a client
         should be considered unavailable."  Its dirty state is lost;
         for sequencers that is safe because CORFU recovery (seal +
-        max-pos) never reuses positions.
+        max-pos) never reuses positions.  A grant released in time
+        makes this a stale release.
         """
-        if not self.alive:
-            return
-        cap = self.locker.holder_of(ino)
-        if cap is None or cap.client != client or cap.seq != seq:
-            return  # released in time
-        self.locker.release(ino, client, seq)
-        san = self.sim.sanitizers
-        if san is not None:
-            san.caps.on_release(self.name, ino, client, daemon=self)
-        self._grant_next(ino)
-
-    def _grant_next(self, ino: int) -> None:
-        waiter = self.locker.next_waiter(ino)
-        if waiter is None:
-            return
-        path = self.ns.path_of_ino(ino)
-        if path is None:
-            fut = self._grant_waiters.get(ino, {}).pop(waiter, None)
-            if fut is not None:
-                fut.fail_if_pending(NotFound(f"ino {ino} disappeared"))
-            return
-        inode = self.ns.get(path)
-        cap = self.locker.try_grant(ino, waiter, self.sim.now,
-                                    self._policy_for(inode))
-        fut = self._grant_waiters.get(ino, {}).pop(waiter, None)
-        if cap is None:
-            return
-        self.perf.incr("cap.grant")
-        san = self.sim.sanitizers
-        if san is not None:
-            san.caps.on_grant(self.name, ino, waiter, cap.seq,
-                              daemon=self)
-        if fut is not None:
-            fut.resolve_if_pending(self._grant_payload(inode, cap))
-        if self.locker.needs_revoke(ino):
-            self._maybe_revoke(ino)
+        if self.alive:
+            self._release(ino, client, seq)
 
     # ------------------------------------------------------------------
     # Load gossip and balancing
@@ -713,16 +686,10 @@ class MDS(Daemon, RadosClient):
             inode = self.ns.maybe_get(p)
             if inode is None:
                 continue
-            cap = self.locker.holder_of(inode.ino)
-            if cap is not None:
-                yield from self._recall_cap(inode.ino)
+            if self.locker.holder_of(inode.ino) is not None:
+                yield from self._recall_cap(inode)
             # Fail queued waiters; clients retry against the new owner.
-            for fut in self._grant_waiters.pop(inode.ino, {}).values():
-                fut.fail_if_pending(TryAgain(f"{path} migrating"))
-            self.locker.drop_ino(inode.ino)
-            san = self.sim.sanitizers
-            if san is not None:
-                san.caps.on_drop(inode.ino, daemon=self)
+            self._drop_caps(inode.ino, TryAgain(f"{path} migrating"))
 
     def _h_import(self, src: str, payload: Dict[str, Any]) -> bool:
         san = self.sim.sanitizers
@@ -749,6 +716,7 @@ class MDS(Daemon, RadosClient):
         # RADOS and are reloaded on restart.
         self.booted = False
         self.ns = NamespaceCache()
+        waiters = self.locker.queued()
         self.locker = Locker()
         self.tracker = LoadTracker()
         self._frozen = set()
@@ -756,10 +724,8 @@ class MDS(Daemon, RadosClient):
         if san is not None:
             # Every lease this MDS issued died with its Locker.
             san.on_daemon_reset(self.name)
-        for waiters in self._grant_waiters.values():
-            for fut in waiters.values():
-                fut.fail_if_pending(CapRevoked("mds crashed"))
-        self._grant_waiters = {}
+        for fut in waiters:
+            fut.fail_if_pending(CapRevoked("mds crashed"))
         self.peer_loads = {}
         self._cpu_free_at = 0.0
 

@@ -32,7 +32,6 @@ from repro.profiling.admin import (
 from repro.profiling.hostclock import (
     host_alloc_blocks,
     host_perf_ns,
-    host_process_ns,
     peak_rss_bytes,
 )
 from repro.profiling.perfetto import chrome_trace, write_chrome_trace
@@ -47,7 +46,6 @@ __all__ = [
     "chrome_trace",
     "host_alloc_blocks",
     "host_perf_ns",
-    "host_process_ns",
     "install_profile_commands",
     "install_profiler",
     "peak_rss_bytes",

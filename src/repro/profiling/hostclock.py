@@ -27,11 +27,6 @@ def host_perf_ns() -> int:
     return time.perf_counter_ns()  # mal: disable=MAL001 -- sanctioned profiler wall-clock boundary; readings never feed back into the schedule
 
 
-def host_process_ns() -> int:
-    """CPU time of this process in nanoseconds (profiler readings only)."""
-    return time.process_time_ns()  # mal: disable=MAL001 -- sanctioned profiler CPU-clock boundary; readings never feed back into the schedule
-
-
 def host_alloc_blocks() -> int:
     """Currently allocated interpreter memory blocks.
 

@@ -1,9 +1,8 @@
-"""Shared utilities: statistics, histograms, and small helpers."""
+"""Shared utilities: statistics and small helpers."""
 
 from repro.util.stats import (
     Cdf,
     OnlineStats,
-    Histogram,
     ThroughputSeries,
     percentile,
 )
@@ -11,7 +10,6 @@ from repro.util.stats import (
 __all__ = [
     "Cdf",
     "OnlineStats",
-    "Histogram",
     "ThroughputSeries",
     "percentile",
 ]

@@ -164,33 +164,6 @@ class OnlineStats:
         return math.sqrt(self.variance)
 
 
-class Histogram:
-    """Fixed-width bucket histogram over a closed range.
-
-    Values outside the range are clamped into the edge buckets so no
-    sample is silently dropped.
-    """
-
-    def __init__(self, lo: float, hi: float, buckets: int = 50):
-        if hi <= lo:
-            raise ValueError("hi must exceed lo")
-        if buckets < 1:
-            raise ValueError("need at least one bucket")
-        self.lo = lo
-        self.hi = hi
-        self.counts = [0] * buckets
-        self._width = (hi - lo) / buckets
-
-    def add(self, value: float) -> None:
-        idx = int((value - self.lo) / self._width)
-        idx = max(0, min(len(self.counts) - 1, idx))
-        self.counts[idx] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 class ThroughputSeries:
     """Bins completion events into fixed windows of simulated time.
 

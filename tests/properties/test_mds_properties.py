@@ -3,16 +3,17 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import MalacologyError
-from repro.mds.capability import LeasePolicy, Locker
+from repro.mds.capability import Capability, LeasePolicy, Locker
 from repro.mds.inode import DIR, FILE, Inode
 from repro.mds.namespace import NamespaceCache, parent_of
+from repro.sim.event import Future
 
 # ----------------------------------------------------------------------
 # Locker: at most one holder, FIFO waiters, releases only by holder.
 # ----------------------------------------------------------------------
 locker_ops = st.lists(
     st.tuples(
-        st.sampled_from(["grant", "release", "drop_client", "next"]),
+        st.sampled_from(["grant", "release", "drop_ino", "next"]),
         st.integers(0, 3),                  # ino
         st.sampled_from(["a", "b", "c", "d"]),  # client
     ),
@@ -26,21 +27,24 @@ def test_locker_exclusivity_invariant(sequence):
     lk = Locker()
     policy = LeasePolicy()
     holder = {}   # ino -> (client, seq) model
-    queue = {}    # ino -> fifo of waiting clients
+    queue = {}    # ino -> fifo of (waiting client, grant future)
 
     for op, ino, client in sequence:
         if op == "grant":
             cap = lk.try_grant(ino, client, 0.0, policy)
             if ino not in holder:
-                assert cap is not None and cap.client == client
+                assert isinstance(cap, Capability) and cap.client == client
                 holder[ino] = (client, cap.seq)
             elif holder[ino][0] == client:
-                assert cap is not None and cap.client == client
+                assert isinstance(cap, Capability) and cap.client == client
             else:
-                assert cap is None
+                assert isinstance(cap, Future)
                 q = queue.setdefault(ino, [])
-                if client not in q:
-                    q.append(client)
+                queued = dict(q)
+                if client in queued:
+                    assert cap is queued[client]
+                else:
+                    q.append((client, cap))
         elif op == "release":
             seq = holder.get(ino, (None, -1))[1]
             removed = lk.release(ino, client, seq)
@@ -49,16 +53,10 @@ def test_locker_exclusivity_invariant(sequence):
                 del holder[ino]
             else:
                 assert not removed
-        elif op == "drop_client":
-            freed = lk.drop_client(client)
-            expected = sorted(i for i, (c, _) in holder.items()
-                              if c == client)
-            assert sorted(freed) == expected
-            for i in expected:
-                del holder[i]
-            for q in queue.values():
-                if client in q:
-                    q.remove(client)
+        elif op == "drop_ino":
+            futs = lk.drop_ino(ino)
+            assert futs == [fut for _, fut in queue.pop(ino, [])]
+            holder.pop(ino, None)
         else:  # next waiter promotion
             if ino in holder:
                 continue
@@ -66,9 +64,11 @@ def test_locker_exclusivity_invariant(sequence):
             q = queue.get(ino, [])
             if q:
                 assert nxt == q.pop(0)
-                cap = lk.try_grant(ino, nxt, 0.0, policy)
-                assert cap is not None
-                holder[ino] = (nxt, cap.seq)
+                if not q:
+                    del queue[ino]
+                cap = lk.try_grant(ino, nxt[0], 0.0, policy)
+                assert isinstance(cap, Capability)
+                holder[ino] = (nxt[0], cap.seq)
             else:
                 assert nxt is None
 
@@ -79,6 +79,7 @@ def test_locker_exclusivity_invariant(sequence):
                 assert cap is not None and cap.client == holder[i][0]
             else:
                 assert cap is None
+        assert lk.queued() == [fut for q in queue.values() for _, fut in q]
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import AlreadyExists, InvalidArgument, NotFound
 from repro.mds.capability import (
     BEST_EFFORT,
-    DELAY,
+    Capability,
     LeasePolicy,
     Locker,
     QUOTA,
@@ -16,8 +16,6 @@ from repro.mds.inode import (
     FILE,
     Inode,
     InoAllocator,
-    SequencerType,
-    file_type_registry,
 )
 from repro.mds.metrics import DecayCounter, LoadTracker
 from repro.mds.namespace import (
@@ -29,6 +27,7 @@ from repro.mds.namespace import (
     validate_path,
 )
 from repro.mds.server import MDS
+from repro.sim.event import Future
 
 
 # ----------------------------------------------------------------------
@@ -95,8 +94,11 @@ def _policy():
 def test_locker_exclusive_grant_and_queueing():
     lk = Locker()
     cap_a = lk.try_grant(1, "a", 0.0, _policy())
-    assert cap_a is not None
-    assert lk.try_grant(1, "b", 0.0, _policy()) is None
+    assert isinstance(cap_a, Capability)
+    fut_b = lk.try_grant(1, "b", 0.0, _policy())
+    assert isinstance(fut_b, Future) and not fut_b.done
+    # Asking again while queued gives the same grant future.
+    assert lk.try_grant(1, "b", 0.5, _policy()) is fut_b
     # Same holder re-grants.
     assert lk.try_grant(1, "a", 1.0, _policy()) is cap_a
 
@@ -104,11 +106,11 @@ def test_locker_exclusive_grant_and_queueing():
 def test_locker_release_grants_next_in_fifo_order():
     lk = Locker()
     cap = lk.try_grant(1, "a", 0.0, _policy())
-    lk.try_grant(1, "b", 0.0, _policy())
-    lk.try_grant(1, "c", 0.0, _policy())
+    fut_b = lk.try_grant(1, "b", 0.0, _policy())
+    fut_c = lk.try_grant(1, "c", 0.0, _policy())
     assert lk.release(1, "a", cap.seq)
-    assert lk.next_waiter(1) == "b"
-    assert lk.next_waiter(1) == "c"
+    assert lk.next_waiter(1) == ("b", fut_b)
+    assert lk.next_waiter(1) == ("c", fut_c)
     assert lk.next_waiter(1) is None
 
 
@@ -131,14 +133,18 @@ def test_locker_needs_revoke_only_with_waiters():
     assert lk.needs_revoke(1) is None  # one revoke in flight
 
 
-def test_locker_drop_client_frees_all_its_caps():
+def test_locker_drop_ino_hands_back_its_waiters():
     lk = Locker()
     lk.try_grant(1, "a", 0.0, _policy())
     lk.try_grant(2, "a", 0.0, _policy())
-    lk.try_grant(1, "b", 0.0, _policy())
-    freed = lk.drop_client("a")
-    assert sorted(freed) == [1, 2]
-    assert lk.holder_of(1) is None
+    fut_b = lk.try_grant(1, "b", 0.0, _policy())
+    fut_c = lk.try_grant(1, "c", 0.0, _policy())
+    fut_d = lk.try_grant(2, "d", 0.0, _policy())
+    assert lk.queued() == [fut_b, fut_c, fut_d]
+    assert lk.drop_ino(1) == [fut_b, fut_c]
+    assert lk.holder_of(1) is None and lk.next_waiter(1) is None
+    assert lk.holder_of(2).client == "a"
+    assert lk.queued() == [fut_d]
 
 
 # ----------------------------------------------------------------------

@@ -179,3 +179,41 @@ def test_kv_list_by_prefix():
         {"op": "kv_put", "key": "zlog/seq", "value": "z"},
     ])
     assert sorted(store.kv_list("mantle/")) == ["mantle/v1", "mantle/v2"]
+
+
+def test_new_leader_adopts_an_accepted_uncommitted_batch():
+    """Paxos phase 1 carries a chosen value across a leader crash.
+
+    A quorum accepts the leader's batch, but none of its
+    ``paxos_commit`` casts arrive and the leader dies before anything
+    else does.  Its successor must learn the batch from the prepare
+    replies and commit it at the same instance — not fill the gap
+    with a no-op, which would lose an acknowledged write.
+    """
+    sim, net, mons, leader, client = make_cluster()
+    commits = []    # (sender, instance, batch id) of every commit cast
+
+    def hook(src, dst, envelope, delay):
+        if envelope.method != "paxos_commit":
+            return None
+        payload = envelope.payload
+        commits.append((src, payload["instance"], payload["value"]["id"]))
+        return [] if src == leader.name else None
+
+    net.chaos_hook = hook
+    assert run_script(sim, client, client.mon_kv_put("adopted", 1)) == 1
+    leader.crash()
+    dropped = {(inst, batch) for src, inst, batch in commits
+               if src == leader.name}
+    assert len(dropped) == 1
+    followers = [m for m in mons if m is not leader]
+    assert all("adopted" not in m.store.kv for m in followers)
+
+    sim.run(until=sim.now + 5.0)
+    successor = next(m for m in followers if m.is_leader)
+    assert {(inst, batch) for src, inst, batch in commits
+            if src == successor.name} >= dropped
+    for m in followers:
+        assert m.store.kv["adopted"] == {"value": 1, "version": 1}
+    # Applied once: the next write is the key's second version.
+    assert run_script(sim, client, client.mon_kv_put("adopted", 2)) == 2
