@@ -23,12 +23,11 @@ from repro.chaos.oracles import (
 )
 from repro.chaos.runner import run_case
 from repro.chaos.scenarios import SCENARIOS, Scenario
-from repro.chaos.sweep import DEFAULT_SCENARIOS, sweep
+from repro.chaos.sweep import sweep
 
 __all__ = [
     "OP_KINDS",
     "SCENARIOS",
-    "DEFAULT_SCENARIOS",
     "ChangelogOracle",
     "DurabilityOracle",
     "NemesisEngine",

@@ -17,7 +17,7 @@ from typing import Any, List, Optional
 from repro.chaos.ops import OP_KINDS, NemesisSchedule
 from repro.chaos.runner import run_case
 from repro.chaos.scenarios import SCENARIOS
-from repro.chaos.sweep import DEFAULT_SCENARIOS, sweep
+from repro.chaos.sweep import sweep
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -46,8 +46,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenarios = (args.scenarios.split(",") if args.scenarios
-                 else list(DEFAULT_SCENARIOS))
+    scenarios = args.scenarios.split(",") if args.scenarios else None
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     summary = sweep(scenarios=scenarios, seeds=seeds,
                     out_dir=args.out_dir,
@@ -77,7 +76,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep = sub.add_parser("sweep", help="fuzz seeds per scenario")
     p_sweep.add_argument("--scenarios", default=None,
                          help="comma-separated names "
-                              f"(default: {','.join(DEFAULT_SCENARIOS)})")
+                              "(default: every shipped scenario)")
     p_sweep.add_argument("--seeds", type=int, default=20,
                          help="seeds per scenario (default 20)")
     p_sweep.add_argument("--seed-base", type=int, default=0,

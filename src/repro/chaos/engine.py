@@ -17,12 +17,20 @@ unarmed run (pinned by a tape test).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.ops import NemesisOp, NemesisSchedule
 from repro.rados.placement import acting_set
 from repro.sim.failure import FailureInjector
 from repro.store import StoreFaultPlane
+
+
+#: Log kinds the engine writes to mark its own lifecycle; every other
+#: log entry is a fault.
+MARKERS = ("on", "off", "finalize")
+
+#: One timed call: ``(time, fn, args)``.
+Call = Tuple[float, Callable[..., None], Tuple[Any, ...]]
 
 
 class NemesisEngine:
@@ -33,33 +41,35 @@ class NemesisEngine:
         self.sim = cluster.sim
         self.injector = FailureInjector(self.sim, cluster.net)
         self.store_plane = StoreFaultPlane(
-            self.sim.rng("chaos:store"), clock=lambda: self.sim.now)
+            self.sim.rng("chaos:store"), self.injector.record)
         self._rng = self.sim.rng("chaos:engine")
         self.schedule: Optional[NemesisSchedule] = None
         self.armed = False
         self._base = 0.0
         self._daemons: Dict[str, Any] = {}
-        #: Engine-level event log ``(time, kind, detail)`` — op
-        #: application and bit-rot hits; the injector and store plane
-        #: keep their own fault logs.
-        self.log: List[Tuple[float, str, str]] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def arm(self, schedule: NemesisSchedule) -> None:
-        """Install the schedule; faults fire as the sim runs."""
+        """Install the schedule; faults fire as the sim runs.
+
+        Every op is resolved before any is scheduled, so a schedule
+        that names an unknown daemon or a bad parameter raises and
+        leaves the cluster (and the engine) untouched.
+        """
         if self.armed:
             raise RuntimeError("engine already armed")
+        self._base = self.sim.now
+        self._daemons = {d.name: d for d in self.cluster.daemons()}
+        calls = [call for op in schedule.ops for call in self._apply(op)]
         self.schedule = schedule
         self.armed = True
-        self._base = self.sim.now
         self.sim.chaos = self
-        self._daemons = {d.name: d for d in self.cluster.daemons()}
         for osd in self.cluster.osds:
             osd.store_faults = self.store_plane
-        for op in schedule.ops:
-            self._apply(op)
+        for t, fn, args in calls:
+            self.sim.schedule(max(0.0, t - self.sim.now), fn, *args)
 
     def finalize(self) -> None:
         """Lift every fault so recovery can complete.
@@ -78,7 +88,7 @@ class NemesisEngine:
             daemon.resume_tickers()
             if not daemon.alive:
                 daemon.restart()
-        self.log.append((self.sim.now, "finalize", "all faults lifted"))
+        self.injector.record("finalize", "all faults lifted")
 
     def trigger_scrubs(self) -> int:
         """Ask every OSD to scrub all PGs it leads; returns the count."""
@@ -95,9 +105,8 @@ class NemesisEngine:
             "armed": self.armed,
             "schedule": self.schedule.name if self.schedule else None,
             "ops": len(self.schedule) if self.schedule else 0,
-            "injector_faults": len(self.injector.log),
-            "store_faults": self.store_plane.faults_injected,
-            "engine_events": len(self.log),
+            "faults": sum(1 for _t, kind, _d in self.injector.log
+                          if kind not in MARKERS),
         }
 
     # ------------------------------------------------------------------
@@ -109,96 +118,92 @@ class NemesisEngine:
             raise ValueError(f"nemesis op targets unknown daemon {name!r}")
         return daemon
 
-    def _at(self, t: float, fn: Any, *args: Any) -> None:
-        self.sim.schedule(max(0.0, t - self.sim.now), fn, *args)
-
-    def _apply(self, op: NemesisOp) -> None:
+    def _apply(self, op: NemesisOp) -> List[Call]:
+        """The timed calls that carry out ``op``; raises on a bad op."""
         t = self._base + op.at
         p = op.params
         inj = self.injector
-        if op.kind == "flap":
-            inj.flap(self._daemon(p["target"]), t, t + p["down_for"])
-        elif op.kind == "crash":
-            inj.crash_at(t, self._daemon(p["target"]))
-        elif op.kind == "rolling_flap":
+        if op.kind in ("flap", "rolling_flap"):
+            if p["down_for"] <= 0:
+                raise ValueError("restart must come after crash")
+            names = p["targets"] if op.kind == "rolling_flap" \
+                else [p["target"]]
             stagger = p.get("stagger", 1.0)
-            for i, name in enumerate(p["targets"]):
+            calls: List[Call] = []
+            for i, name in enumerate(names):
                 start = t + i * stagger
-                inj.flap(self._daemon(name), start,
-                         start + p["down_for"])
-        elif op.kind == "partition":
-            inj.partition_at(t, p["a"], p["b"])
-            inj.heal_at(t + p["heal_for"], p["a"], p["b"])
-        elif op.kind == "partition_oneway":
-            inj.partition_oneway_at(t, p["src"], p["dst"])
-            inj.heal_oneway_at(t + p["heal_for"], p["src"], p["dst"])
-        elif op.kind == "partition_group":
-            for a in p["group_a"]:
-                for b in p["group_b"]:
-                    inj.partition_at(t, a, b)
-                    inj.heal_at(t + p["heal_for"], a, b)
-        elif op.kind == "loss":
-            self._window(t, p.get("lasts", 5.0),
-                         lambda: inj.set_loss(p["src"], p["dst"],
-                                              p["rate"]),
-                         lambda: inj.set_loss(p["src"], p["dst"], 0.0),
-                         f"loss {p['src']}->{p['dst']}@{p['rate']:g}")
-        elif op.kind == "slow":
-            inj.slow_at(t, p["target"], p["factor"])
-            inj.unslow_at(t + p.get("lasts", 5.0), p["target"])
-        elif op.kind == "pause":
-            inj.pause_at(t, self._daemon(p["target"]))
-            inj.resume_at(t + p.get("lasts", 5.0),
-                          self._daemon(p["target"]))
-        elif op.kind == "duplicate":
-            self._window(t, p.get("lasts", 5.0),
-                         lambda: inj.set_duplication(p["rate"]),
-                         lambda: inj.set_duplication(0.0),
-                         f"duplicate@{p['rate']:g}")
-        elif op.kind == "reorder":
-            self._window(t, p.get("lasts", 5.0),
-                         lambda: inj.set_reorder(p["rate"],
-                                                 p.get("spread", 4.0)),
-                         lambda: inj.set_reorder(0.0),
-                         f"reorder@{p['rate']:g}")
-        elif op.kind == "corrupt":
+                daemon = self._daemon(name)
+                calls += [(start, inj.crash, (daemon,)),
+                          (start + p["down_for"], inj.restart, (daemon,))]
+            return calls
+        if op.kind == "crash":
+            return [(t, inj.crash, (self._daemon(p["target"]),))]
+        if op.kind in ("partition", "partition_oneway", "partition_group"):
+            cut, heal = inj.partition, inj.heal
+            if op.kind == "partition":
+                links = [(p["a"], p["b"])]
+            elif op.kind == "partition_oneway":
+                links = [(p["src"], p["dst"])]
+                cut, heal = inj.partition_oneway, inj.heal_oneway
+            else:
+                links = [(a, b) for a in p["group_a"] for b in p["group_b"]]
+            calls = []
+            for link in links:
+                calls += [(t, cut, link), (t + p["heal_for"], heal, link)]
+            return calls
+        lasts = p.get("lasts", 5.0)
+        if op.kind == "slow":
+            if p["factor"] <= 0:
+                raise ValueError("slowdown factor must be positive")
+            return [(t, inj.slow, (p["target"], p["factor"])),
+                    (t + lasts, inj.unslow, (p["target"],))]
+        if op.kind == "pause":
+            daemon = self._daemon(p["target"])
+            return [(t, inj.pause, (daemon,)),
+                    (t + lasts, inj.resume, (daemon,))]
+        if op.kind == "bitrot":
+            return [(t, self._bitrot, (p["pool"], p.get("count", 1)))]
+        if op.kind == "loss":
+            return self._window(
+                t, lasts, lambda: inj.set_loss(p["src"], p["dst"], p["rate"]),
+                lambda: inj.set_loss(p["src"], p["dst"], 0.0),
+                f"loss {p['src']}->{p['dst']}@{p['rate']:g}")
+        if op.kind == "duplicate":
+            return self._window(
+                t, lasts, lambda: inj.set_duplication(p["rate"]),
+                lambda: inj.set_duplication(0.0), f"duplicate@{p['rate']:g}")
+        if op.kind == "reorder":
+            return self._window(
+                t, lasts,
+                lambda: inj.set_reorder(p["rate"], p.get("spread", 4.0)),
+                lambda: inj.set_reorder(0.0), f"reorder@{p['rate']:g}")
+        if op.kind == "corrupt":
             detected = p.get("detected", True)
-            self._window(t, p.get("lasts", 5.0),
-                         lambda: inj.set_corruption(p["rate"], detected),
-                         lambda: inj.set_corruption(0.0),
-                         f"corrupt@{p['rate']:g}")
-        elif op.kind == "store_eio":
+            return self._window(
+                t, lasts, lambda: inj.set_corruption(p["rate"], detected),
+                lambda: inj.set_corruption(0.0), f"corrupt@{p['rate']:g}")
+        if op.kind in ("store_eio", "store_torn"):
             targets = set(p["targets"]) if "targets" in p else None
-            self._window(t, p.get("lasts", 5.0),
-                         lambda: self.store_plane.set_eio(p["rate"],
-                                                          targets),
-                         lambda: self.store_plane.set_eio(0.0),
-                         f"store_eio@{p['rate']:g}")
-        elif op.kind == "store_torn":
-            targets = set(p["targets"]) if "targets" in p else None
-            self._window(t, p.get("lasts", 5.0),
-                         lambda: self.store_plane.set_torn(p["rate"],
-                                                           targets),
-                         lambda: self.store_plane.set_torn(0.0),
-                         f"store_torn@{p['rate']:g}")
-        elif op.kind == "bitrot":
-            self._at(t, self._bitrot, p["pool"], p.get("count", 1))
-        else:  # unreachable: NemesisOp validates kinds
-            raise ValueError(f"unhandled op kind {op.kind!r}")
+            plane = self.store_plane
+            setter = (plane.set_eio if op.kind == "store_eio"
+                      else plane.set_torn)
+            return self._window(
+                t, lasts, lambda: setter(p["rate"], targets),
+                lambda: setter(0.0), f"{op.kind}@{p['rate']:g}")
+        raise ValueError(f"unhandled op kind {op.kind!r}")  # unreachable
 
-    def _window(self, t: float, lasts: float, on: Any, off: Any,
-                label: str) -> None:
+    def _window(self, t: float, lasts: float, on: Callable[[], None],
+                off: Callable[[], None], label: str) -> List[Call]:
         """Open a fault window at ``t`` and close it at ``t+lasts``."""
         def _on() -> None:
-            self.log.append((self.sim.now, "on", label))
+            self.injector.record("on", label)
             on()
 
         def _off() -> None:
-            self.log.append((self.sim.now, "off", label))
+            self.injector.record("off", label)
             off()
 
-        self._at(t, _on)
-        self._at(t + lasts, _off)
+        return [(t, _on, ()), (t + lasts, _off, ())]
 
     def _bitrot(self, pool: str, count: int) -> None:
         """Rot up to ``count`` objects on non-primary replicas.
@@ -233,5 +238,3 @@ class NemesisEngine:
             store = self._daemons[name].pgs[key]
             if self.store_plane.flip_bit(store, oid, owner=name):
                 hit += 1
-        self.log.append(
-            (self.sim.now, "bitrot", f"{pool}: {hit}/{count} objects"))

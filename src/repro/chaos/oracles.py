@@ -1,7 +1,10 @@
 """Invariant oracles: turn a chaos run into a pass/fail verdict.
 
 Each oracle checks one durability/consistency guarantee after the
-nemesis schedule has been finalized and the cluster has settled:
+nemesis schedule has been finalized and the cluster has settled.
+Every oracle has one signature, ``check(cluster, client, verdict)``:
+it judges out-of-band and returns None, or returns a client generator
+the runner drives (readbacks over the real client path).
 
 * :class:`DurabilityOracle` — every client-*acked* write must be
   readable afterwards with exactly the acked contents.  Un-acked
@@ -74,8 +77,8 @@ class DurabilityOracle:
     """Records client-acked writes; checks end-state readability.
 
     Workloads call :meth:`acked` only *after* the write RPC returned
-    success.  ``check`` is a client generator (the readback goes over
-    the real read path) driven by the runner after finalize.
+    success.  ``check`` returns a client generator (the readback goes
+    over the real read path) the runner drives after finalize.
     """
 
     name = "durability"
@@ -90,7 +93,8 @@ class DurabilityOracle:
         self.acked_writes[(pool, oid)] = data
         self.acks += 1
 
-    def check(self, client: Any, verdict: RunVerdict) -> Generator:
+    def check(self, cluster: Any, client: Any,
+              verdict: RunVerdict) -> Generator:
         for (pool, oid) in sorted(self.acked_writes):
             expect = self.acked_writes[(pool, oid)]
             try:
@@ -128,7 +132,13 @@ class ZlogOracle:
                 f"({self.acked_appends[position]!r} then {payload!r})")
         self.acked_appends[position] = payload
 
-    def check(self, log: Any, verdict: RunVerdict) -> Generator:
+    def check(self, cluster: Any, client: Any,
+              verdict: RunVerdict) -> Optional[Generator]:
+        if self.log is None:
+            return None  # the workload never created the log
+        return self._readback(self.log, verdict)
+
+    def _readback(self, log: Any, verdict: RunVerdict) -> Generator:
         for detail in self.double_acks:
             verdict.fail(self.name, detail)
         for pos in sorted(self.acked_appends):
@@ -157,7 +167,8 @@ class ChangelogOracle:
 
     name = "changelog"
 
-    def check(self, cluster: Any, verdict: RunVerdict) -> None:
+    def check(self, cluster: Any, client: Any,
+              verdict: RunVerdict) -> None:
         writer = cluster.changelog_writer
         if writer is None:
             return
@@ -230,7 +241,8 @@ class ReplicaConvergenceOracle:
 
     name = "replica-convergence"
 
-    def check(self, cluster: Any, verdict: RunVerdict) -> None:
+    def check(self, cluster: Any, client: Any,
+              verdict: RunVerdict) -> None:
         by_name = {o.name: o for o in cluster.osds}
         primary = cluster.osds[0].osdmap
         if primary is None:

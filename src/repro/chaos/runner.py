@@ -80,21 +80,11 @@ def _run_case(scenario: Any, seed: int,
     cluster.run(SCRUB_SECONDS)
 
     for name in sorted(oracles):
-        oracle = oracles[name]
-        if name == "durability":
-            check = client.do(oracle.check(client, verdict),
-                              name="oracle-durability")
+        check = oracles[name].check(cluster, client, verdict)
+        if check is not None:
+            proc = client.do(check, name=f"oracle-{name}")
             cluster.sim.run_until_complete(
-                check, limit=cluster.sim.now + WORKLOAD_GRACE)
-        elif name == "zlog-fencing":
-            if oracle.log is None:
-                continue  # workload never created the log
-            check = client.do(oracle.check(oracle.log, verdict),
-                              name="oracle-zlog")
-            cluster.sim.run_until_complete(
-                check, limit=cluster.sim.now + WORKLOAD_GRACE)
-        else:
-            oracle.check(cluster, verdict)
+                proc, limit=cluster.sim.now + WORKLOAD_GRACE)
 
     report = cluster.sanitizer_report()
     if report:

@@ -17,9 +17,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.chaos.minimize import minimize_case, write_repro_artifact
 from repro.chaos.ops import NemesisSchedule
 from repro.chaos.runner import run_case
-
-#: The default smoke-sweep scenario set (CI's chaos job).
-DEFAULT_SCENARIOS = ("rolling-crash", "net-chaos", "torn-store")
+from repro.chaos.scenarios import SCENARIOS
 
 
 def sweep(scenarios: Optional[List[str]] = None,
@@ -27,14 +25,15 @@ def sweep(scenarios: Optional[List[str]] = None,
           out_dir: str = "chaos-artifacts",
           minimize: bool = True,
           log: Optional[Callable[[str], None]] = None) -> Dict[str, Any]:
-    """Run the sweep; returns a JSON-safe summary.
+    """Run the sweep (default: every shipped scenario); returns a
+    JSON-safe summary.
 
     ``summary["ok"]`` is True iff every case passed.  Failing cases are
     minimized (unless ``minimize=False``) and their artifact paths
     collected under ``summary["artifacts"]``.
     """
     say = log or (lambda _msg: None)
-    names = list(scenarios or DEFAULT_SCENARIOS)
+    names = list(scenarios or sorted(SCENARIOS))
     seed_list = list(seeds if seeds is not None else range(20))
     cases: List[Dict[str, Any]] = []
     artifacts: List[str] = []

@@ -268,13 +268,7 @@ class MgrDaemon(Daemon, MonitorClient):
         if engine is not None:
             status = engine.status()
             dumps["chaos"] = {
-                "counters": {
-                    "chaos.injector_faults":
-                        float(status["injector_faults"]),
-                    "chaos.store_faults": float(status["store_faults"]),
-                    "chaos.engine_events":
-                        float(status["engine_events"]),
-                },
+                "counters": {"chaos.faults": float(status["faults"])},
                 "gauges": {
                     "chaos.armed": 1.0 if status["armed"] else 0.0,
                     "chaos.schedule_ops": float(status["ops"]),

@@ -479,8 +479,7 @@ def chaos_nemesis_active(sample: ClusterSample
         "CHAOS_NEMESIS_ACTIVE", HEALTH_WARN,
         f"nemesis schedule {chaos.get('schedule')!r} is armed: "
         f"{chaos.get('ops', 0)} ops, "
-        f"{chaos.get('injector_faults', 0)} injector faults, "
-        f"{chaos.get('store_faults', 0)} store faults so far",
+        f"{chaos.get('faults', 0)} faults so far",
         dict(chaos))
 
 

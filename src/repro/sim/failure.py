@@ -1,10 +1,11 @@
-"""Failure injection: crashes, restarts, message loss, and flapping.
+"""Failure injection: crashes, partitions, message loss and chaos.
 
 The evaluation's recovery claims (sequencer recovery, Mantle policy
 durability across MDS failure, OSD re-replication) are only credible if
 failures are injectable and deterministic.  The injector works purely
 through public daemon/network hooks so it cannot reach into state a
-real fault could not destroy.
+real fault could not destroy.  Its methods act when called; deciding
+*when* is the nemesis engine's job (``repro.chaos.engine``).
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ class Pausable(Protocol):
 
 
 class FailureInjector:
-    """Deterministic fault scheduler for a simulation run.
+    """Deterministic fault actions and the run's one fault log.
 
-    All methods may be called before ``sim.run``; faults fire at their
-    scheduled simulated times.  The injector records every fault it
-    fires in :attr:`log` so tests can assert on exact fault timing.
+    Every fault the injector applies, and every fault another plane
+    reports through :meth:`record` (the store fault plane, the nemesis
+    engine's window markers), lands in :attr:`log` as
+    ``(time, kind, detail)`` in fire order.
     """
 
     def __init__(self, sim: Simulator, network: Network):
@@ -60,12 +62,9 @@ class FailureInjector:
         self._drop_rates: Dict[Tuple[str, str], float] = {}
         self._rng = sim.rng("failures")
         self.log: List[Tuple[float, str, str]] = []
-        self.network.drop_hook = self._should_drop
         # Chaos-plane knobs (duplication / reordering / corruption).
         # Each draws from its own named stream so enabling one cannot
-        # perturb the others or the base "failures" loss sequence, and
-        # the hook is installed lazily so a plain injector leaves the
-        # network's fast path untouched.
+        # perturb the others or the base "failures" loss sequence.
         self._dup_rate = 0.0
         self._reorder_rate = 0.0
         self._reorder_spread = 0.0
@@ -74,34 +73,23 @@ class FailureInjector:
         self._dup_rng = sim.rng("failures:dup")
         self._reorder_rng = sim.rng("failures:reorder")
         self._corrupt_rng = sim.rng("failures:corrupt")
-        #: Endpoints currently slowed by :meth:`slow_at` (gray failure).
+        #: Endpoints currently slowed by :meth:`slow` (gray failure).
         self._slowed: Dict[str, float] = {}
+
+    def record(self, kind: str, detail: str) -> None:
+        """Append one fault to the log, stamped with the sim clock."""
+        self.log.append((self.sim.now, kind, detail))
 
     # ------------------------------------------------------------------
     # Crash / restart
     # ------------------------------------------------------------------
-    def crash_at(self, t: float, daemon: Crashable) -> None:
-        """Hard-stop ``daemon`` at simulated time ``t``."""
-        self.sim.schedule(max(0.0, t - self.sim.now), self._crash, daemon)
-
-    def restart_at(self, t: float, daemon: Crashable) -> None:
-        """Bring ``daemon`` back at simulated time ``t``."""
-        self.sim.schedule(max(0.0, t - self.sim.now), self._restart, daemon)
-
-    def flap(self, daemon: Crashable, down_at: float,
-             up_at: float) -> None:
-        """Crash then restart — the classic transient failure."""
-        if up_at <= down_at:
-            raise ValueError("restart must come after crash")
-        self.crash_at(down_at, daemon)
-        self.restart_at(up_at, daemon)
-
-    def _crash(self, daemon: Crashable) -> None:
-        self.log.append((self.sim.now, "crash", daemon.name))
+    def crash(self, daemon: Crashable) -> None:
+        """Hard-stop ``daemon``."""
+        self.record("crash", daemon.name)
         daemon.crash()
 
-    def _restart(self, daemon: Crashable) -> None:
-        self.log.append((self.sim.now, "restart", daemon.name))
+    def restart(self, daemon: Crashable) -> None:
+        self.record("restart", daemon.name)
         daemon.restart()
 
     # ------------------------------------------------------------------
@@ -111,7 +99,8 @@ class FailureInjector:
         """Drop messages src->dst with the given probability.
 
         Unidirectional by design: asymmetric loss is the nastier and
-        more realistic case for lease protocols.
+        more realistic case for lease protocols.  Either endpoint may
+        be ``"*"``; the most specific match wins.
         """
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"loss rate must be in [0,1], got {rate}")
@@ -119,126 +108,83 @@ class FailureInjector:
             self._drop_rates.pop((src, dst), None)
         else:
             self._drop_rates[(src, dst)] = rate
-
-    def set_loss_everywhere(self, rate: float) -> None:
-        """Uniform background loss on every link (wildcard entry)."""
-        self.set_loss("*", "*", rate)
+        self._sync_hook()
 
     def clear_loss(self) -> None:
         self._drop_rates.clear()
+        self._sync_hook()
 
-    def _should_drop(self, src: str, dst: str) -> bool:
+    def _loss_rate(self, src: str, dst: str) -> float:
         # Most-specific match wins: exact pair, then per-endpoint
         # wildcards, then the global wildcard.
         for key in ((src, dst), (src, "*"), ("*", dst), ("*", "*")):
             if key in self._drop_rates:
-                rate = self._drop_rates[key]
-                break
-        else:
-            return False
-        if rate <= 0.0:
-            return False
-        dropped = self._rng.random() < rate
-        if dropped:
-            self.log.append((self.sim.now, "drop", f"{src}->{dst}"))
-        return dropped
+                return self._drop_rates[key]
+        return 0.0
 
     # ------------------------------------------------------------------
-    # Partitions (thin wrappers so faults are logged in one place)
+    # Partitions
     # ------------------------------------------------------------------
-    def partition_at(self, t: float, a: str, b: str) -> None:
-        self.sim.schedule(max(0.0, t - self.sim.now),
-                          self._partition, a, b)
-
-    def heal_at(self, t: float, a: str, b: str) -> None:
-        self.sim.schedule(max(0.0, t - self.sim.now), self._heal, a, b)
-
-    def partition_oneway_at(self, t: float, src: str, dst: str) -> None:
-        """Block only ``src`` -> ``dst`` at time ``t`` (asymmetric link)."""
-        self.sim.schedule(max(0.0, t - self.sim.now),
-                          self._partition_oneway, src, dst)
-
-    def heal_oneway_at(self, t: float, src: str, dst: str) -> None:
-        self.sim.schedule(max(0.0, t - self.sim.now),
-                          self._heal_oneway, src, dst)
-
-    def heal_all_at(self, t: float) -> None:
-        self.sim.schedule(max(0.0, t - self.sim.now), self._heal_all)
-
-    def _partition(self, a: str, b: str) -> None:
-        self.log.append((self.sim.now, "partition", f"{a}|{b}"))
+    def partition(self, a: str, b: str) -> None:
+        self.record("partition", f"{a}|{b}")
         self.network.partition(a, b)
 
-    def _heal(self, a: str, b: str) -> None:
-        self.log.append((self.sim.now, "heal", f"{a}|{b}"))
+    def heal(self, a: str, b: str) -> None:
+        self.record("heal", f"{a}|{b}")
         self.network.heal(a, b)
 
-    def _partition_oneway(self, src: str, dst: str) -> None:
-        self.log.append((self.sim.now, "partition", f"{src}->{dst}"))
+    def partition_oneway(self, src: str, dst: str) -> None:
+        """Block only ``src`` -> ``dst`` (asymmetric link)."""
+        self.record("partition", f"{src}->{dst}")
         self.network.partition_oneway(src, dst)
 
-    def _heal_oneway(self, src: str, dst: str) -> None:
-        self.log.append((self.sim.now, "heal", f"{src}->{dst}"))
+    def heal_oneway(self, src: str, dst: str) -> None:
+        self.record("heal", f"{src}->{dst}")
         self.network.heal_oneway(src, dst)
 
-    def _heal_all(self) -> None:
-        self.log.append((self.sim.now, "heal", "*"))
+    def heal_all(self) -> None:
+        self.record("heal", "*")
         self.network.heal_all()
 
     # ------------------------------------------------------------------
     # Gray failures: slow-but-alive daemons
     # ------------------------------------------------------------------
-    def slow_at(self, t: float, name: str, factor: float) -> None:
-        """Scale all latency to/from ``name`` by ``factor`` at time ``t``.
+    def slow(self, name: str, factor: float) -> None:
+        """Scale all latency to/from ``name`` by ``factor``.
 
         The daemon keeps running and answering — just late.  This is
         the failure mode detectors handle worst: nothing is down, so
         nothing is marked failed, yet every request through the slow
         node eats the scaled delay.
         """
-        if factor <= 0:
-            raise ValueError("slowdown factor must be positive")
-        self.sim.schedule(max(0.0, t - self.sim.now),
-                          self._slow, name, factor)
-
-    def unslow_at(self, t: float, name: str) -> None:
-        self.sim.schedule(max(0.0, t - self.sim.now), self._unslow, name)
-
-    def _slow(self, name: str, factor: float) -> None:
-        self.log.append((self.sim.now, "slow", f"{name}x{factor:g}"))
+        model = ScaledLatency(self.network.latency, factor)
+        self.record("slow", f"{name}x{factor:g}")
         self._slowed[name] = factor
-        self.network.set_latency_override(
-            name, ScaledLatency(self.network.latency, factor))
+        self.network.set_latency_override(name, model)
 
-    def _unslow(self, name: str) -> None:
+    def unslow(self, name: str) -> None:
         if self._slowed.pop(name, None) is None:
             return
-        self.log.append((self.sim.now, "unslow", name))
+        self.record("unslow", name)
         self.network.set_latency_override(name, None)
 
     def clear_slowdowns(self) -> None:
         """Remove every active slowdown immediately."""
         for name in sorted(self._slowed):
-            self._unslow(name)
+            self.unslow(name)
 
-    def pause_at(self, t: float, daemon: Pausable) -> None:
-        """Freeze ``daemon``'s background tickers at time ``t``.
+    def pause(self, daemon: Pausable) -> None:
+        """Freeze ``daemon``'s background tickers.
 
         Models a stalled event loop (GC pause, disk stall): the daemon
         still answers requests already in flight but stops initiating
         heartbeats, scrubs, and other periodic work.
         """
-        self.sim.schedule(max(0.0, t - self.sim.now), self._pause, daemon)
-
-    def resume_at(self, t: float, daemon: Pausable) -> None:
-        self.sim.schedule(max(0.0, t - self.sim.now), self._resume, daemon)
-
-    def _pause(self, daemon: Pausable) -> None:
-        self.log.append((self.sim.now, "pause", daemon.name))
+        self.record("pause", daemon.name)
         daemon.pause_tickers()
 
-    def _resume(self, daemon: Pausable) -> None:
-        self.log.append((self.sim.now, "resume", daemon.name))
+    def resume(self, daemon: Pausable) -> None:
+        self.record("resume", daemon.name)
         daemon.resume_tickers()
 
     # ------------------------------------------------------------------
@@ -255,7 +201,7 @@ class FailureInjector:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"duplication rate must be in [0,1], got {rate}")
         self._dup_rate = rate
-        self._sync_chaos_hook()
+        self._sync_hook()
 
     def set_reorder(self, rate: float, spread: float = 4.0) -> None:
         """Delay a random ``rate`` fraction of messages by up to
@@ -268,7 +214,7 @@ class FailureInjector:
             raise ValueError("spread must be non-negative")
         self._reorder_rate = rate
         self._reorder_spread = spread
-        self._sync_chaos_hook()
+        self._sync_hook()
 
     def set_corruption(self, rate: float, detected: bool = True) -> None:
         """Corrupt message payloads with the given probability.
@@ -285,45 +231,57 @@ class FailureInjector:
             raise ValueError(f"corruption rate must be in [0,1], got {rate}")
         self._corrupt_rate = rate
         self._corrupt_detected = detected
-        self._sync_chaos_hook()
+        self._sync_hook()
 
     def clear_chaos(self) -> None:
         """Disable duplication, reordering, and corruption."""
         self._dup_rate = self._reorder_rate = self._corrupt_rate = 0.0
-        self._sync_chaos_hook()
+        self._sync_hook()
 
-    def _sync_chaos_hook(self) -> None:
-        # Install only while some knob is live: an idle injector must
-        # leave the network send path byte-identical to pre-chaos runs.
-        if self._dup_rate or self._reorder_rate or self._corrupt_rate:
-            self.network.chaos_hook = self._chaos_plan
-        elif self.network.chaos_hook == self._chaos_plan:
+    def _sync_hook(self) -> None:
+        # Install only while some loss rate or chaos knob is live: an
+        # idle injector leaves the network send path untouched.
+        if (self._drop_rates or self._dup_rate or self._reorder_rate
+                or self._corrupt_rate):
+            self.network.fault_hook = self._chaos_plan
+        elif self.network.fault_hook == self._chaos_plan:
             # == not `is`: each attribute access builds a fresh bound
             # method, so identity would never match and the hook would
             # stay installed forever.
-            self.network.chaos_hook = None
+            self.network.fault_hook = None
 
-    def _chaos_plan(self, src: str, dst: str, envelope: Any,
-                    delay: float) -> Optional[List[Tuple[float, Any]]]:
-        """Decide this message's fate; None means deliver normally."""
-        touched = False
+    def _chaos_plan(self, src: str, dst: str,
+                    envelope: Any) -> Optional[List[Tuple[float, Any]]]:
+        """The network's fault hook: decide this message's fate.
+
+        Draws in a fixed order: the loss draw, then the delay, then
+        the corruption, reorder and duplicate draws, each from its own
+        stream.  Returns None (deliver normally) only when no chaos
+        knob is live, so the network never draws a second delay.
+        """
+        rate = self._loss_rate(src, dst)
+        if rate and self._rng.random() < rate:
+            self.network.drops_by_cause["drop_hook"] += 1
+            self.record("drop", f"{src}->{dst}")
+            return []
+        if not (self._dup_rate or self._reorder_rate or self._corrupt_rate):
+            return None
+        delay = self.network.delay(src, dst)
         if self._corrupt_rate and (
                 self._corrupt_rng.random() < self._corrupt_rate):
             self.network.messages_corrupted += 1
             if self._corrupt_detected:
                 # Receiver-side CRC catches it; the frame is dropped.
-                self.log.append(
-                    (self.sim.now, "corrupt-drop", f"{src}->{dst}"))
+                self.network.drops_by_cause["chaos"] += 1
+                self.record("corrupt-drop", f"{src}->{dst}")
                 return []
             envelope = self._mangle(envelope)
-            self.log.append((self.sim.now, "corrupt", f"{src}->{dst}"))
-            touched = True
+            self.record("corrupt", f"{src}->{dst}")
         if self._reorder_rate and (
                 self._reorder_rng.random() < self._reorder_rate):
             delay += delay * self._reorder_rng.uniform(
                 0.0, self._reorder_spread)
-            self.log.append((self.sim.now, "reorder", f"{src}->{dst}"))
-            touched = True
+            self.record("reorder", f"{src}->{dst}")
         plan = [(delay, envelope)]
         if (self._dup_rate
                 and getattr(envelope, "kind", None) in _DUP_SAFE_KINDS
@@ -331,9 +289,9 @@ class FailureInjector:
             extra = delay + self.network.latency.sample(
                 src, dst, self._dup_rng)
             plan.append((extra, copy.deepcopy(envelope)))
-            self.log.append((self.sim.now, "duplicate", f"{src}->{dst}"))
-            touched = True
-        return plan if touched else None
+            self.network.messages_duplicated += 1
+            self.record("duplicate", f"{src}->{dst}")
+        return plan
 
     @staticmethod
     def _mangle(envelope: Any) -> Any:

@@ -131,17 +131,15 @@ class Network:
         #: endpoints (the mgr) never perturb the main latency sequence.
         self._latency_overrides: Dict[str, LatencyModel] = {}
         self._override_rng = sim.rng("network:overrides")
-        #: Optional hook deciding per-message drops: fn(src, dst) -> bool.
-        self.drop_hook: Optional[Callable[[str, str], bool]] = None
-        #: Optional chaos hook consulted after the drop decision and
-        #: latency sampling: fn(src, dst, envelope, delay) -> None to
-        #: deliver normally, or a list of (delay, envelope) deliveries
-        #: (empty = message destroyed, len > 1 = duplicates).  Chaos
-        #: draws its randomness from its own streams, so an installed
-        #: hook that declines every message leaves the schedule
-        #: byte-identical to a run without one.
-        self.chaos_hook: Optional[
-            Callable[[str, str, Any, float],
+        #: Optional fault hook consulted after the partition check:
+        #: fn(src, dst, envelope) -> None to deliver normally, or a
+        #: list of (delay, envelope) deliveries (empty = message
+        #: destroyed, len > 1 = duplicates).  The hook counts what it
+        #: drops, duplicates or corrupts, and draws delays through
+        #: :meth:`delay`, so a hook that declines every message leaves
+        #: the schedule byte-identical to a run without one.
+        self.fault_hook: Optional[
+            Callable[[str, str, Any],
                      Optional[List[Tuple[float, Any]]]]] = None
         # Counters for observability and the propagation benchmarks.
         self.messages_sent = 0
@@ -221,6 +219,16 @@ class Network:
     # ------------------------------------------------------------------
     # Send path
     # ------------------------------------------------------------------
+    def delay(self, src: str, dst: str) -> float:
+        """Draw the one-way delay of one ``src`` -> ``dst`` message."""
+        if src == dst:
+            return 1e-6  # loopback: negligible but nonzero for causality
+        override = self._latency_overrides.get(
+            src, self._latency_overrides.get(dst))
+        if override is not None:
+            return override.sample(src, dst, self._override_rng)
+        return self.latency.sample(src, dst, self._rng)
+
     def send(self, src: str, dst: str, envelope: Any) -> None:
         """Queue ``envelope`` for delivery to ``dst`` after sampled latency.
 
@@ -228,32 +236,16 @@ class Network:
         networks and callers must rely on timeouts, not exceptions.
         """
         self.messages_sent += 1
-        if self.partitioned(src, dst):
+        if (src, dst) in self._blocked:
             self.drops_by_cause["partition"] += 1
             return
-        if self.drop_hook is not None and self.drop_hook(src, dst):
-            self.drops_by_cause["drop_hook"] += 1
-            return
-        override = self._latency_overrides.get(
-            src, self._latency_overrides.get(dst))
-        if src == dst:
-            delay = 1e-6  # loopback: negligible but nonzero for causality
-        elif override is not None:
-            delay = override.sample(src, dst, self._override_rng)
-        else:
-            delay = self.latency.sample(src, dst, self._rng)
-        if self.chaos_hook is not None:
-            plan = self.chaos_hook(src, dst, envelope, delay)
+        if self.fault_hook is not None:
+            plan = self.fault_hook(src, dst, envelope)
             if plan is not None:
-                if not plan:
-                    self.drops_by_cause["chaos"] += 1
-                    return
-                self.messages_duplicated += len(plan) - 1
-                for chaos_delay, chaos_envelope in plan:
-                    self.sim.schedule(
-                        chaos_delay, self._deliver, dst, chaos_envelope)
+                for delay, faulted in plan:
+                    self.sim.schedule(delay, self._deliver, dst, faulted)
                 return
-        self.sim.schedule(delay, self._deliver, dst, envelope)
+        self.sim.schedule(self.delay(src, dst), self._deliver, dst, envelope)
 
     def _deliver(self, dst: str, envelope: Any) -> None:
         endpoint = self._endpoints.get(dst)

@@ -27,7 +27,7 @@ named stream), so chaos runs stay seed-reproducible.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.errors import MalacologyError
 from repro.rados.objects import StoredObject
@@ -40,20 +40,18 @@ class StoreFaultPlane:
     One plane serves all OSDs in a run: rates and targeting live here.
     Each fault kind has its own targets, replaced by every ``set_*``
     call: a set limits that kind to the named daemons, None means every
-    OSD.  ``log`` records every injected fault as
-    ``(time, kind, detail)`` in fire order.
+    OSD.  Every injected fault is reported as ``record(kind, detail)``
+    (the failure injector's one fault log stamps the time).
     """
 
     def __init__(self, rng: random.Random,
-                 clock: Callable[[], float]):
+                 record: Callable[[str, str], None]):
         self.rng = rng
-        self.clock = clock
+        self.record = record
         self.eio_rate = 0.0
         self.torn_rate = 0.0
         self.eio_targets: Optional[set] = None
         self.torn_targets: Optional[set] = None
-        self.log: List[Tuple[float, str, str]] = []
-        self.faults_injected = 0
 
     def set_eio(self, rate: float,
                 targets: Optional[set] = None) -> None:
@@ -91,19 +89,15 @@ class StoreFaultPlane:
         # same fault sequence regardless of which earlier faults fired.
         if (self.eio_rate and self._applies(self.eio_targets, owner)
                 and self.rng.random() < self.eio_rate):
-            self._record("eio", f"{owner}:{obj.oid}")
+            self.record("eio", f"{owner}:{obj.oid}")
             raise MalacologyError(
                 f"injected EIO on commit of {obj.oid} at {owner}")
         if (self.torn_rate and self._applies(self.torn_targets, owner)
                 and self.rng.random() < self.torn_rate):
             store[obj.oid] = _tear(store.get(obj.oid), obj)
-            self._record("torn", f"{owner}:{obj.oid}")
+            self.record("torn", f"{owner}:{obj.oid}")
             raise MalacologyError(
                 f"injected torn commit of {obj.oid} at {owner}")
-
-    def _record(self, kind: str, detail: str) -> None:
-        self.faults_injected += 1
-        self.log.append((self.clock(), kind, detail))
 
     def flip_bit(self, store: ObjectStore, oid: str,
                  owner: str = "?") -> bool:
@@ -121,7 +115,7 @@ class StoreFaultPlane:
         index = self.rng.randrange(len(obj.data))
         obj.data[index] ^= 1 << self.rng.randrange(8)
         store[oid] = obj
-        self._record("bitrot", f"{owner}:{oid}@{index}")
+        self.record("bitrot", f"{owner}:{oid}@{index}")
         return True
 
 

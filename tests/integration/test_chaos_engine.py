@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro.chaos import (
+    NemesisEngine,
     NemesisSchedule,
     minimize_case,
     run_case,
@@ -30,6 +31,7 @@ from repro.core import MalacologyCluster
 from repro.errors import MalacologyError
 from repro.objclass.bundled import cls_changelog
 from repro.rados.placement import locate
+from repro.sim.failure import FailureInjector
 from repro.store import StoreFaultPlane
 
 
@@ -49,8 +51,30 @@ def test_scenario_passes_oracles(scenario, seed):
     # The run must have actually injected something: a no-fault pass
     # is vacuous.
     assert verdict.stats["schedule"]["ops"]
-    engine = verdict.stats["engine"]
-    assert engine["injector_faults"] + engine["store_faults"] > 0
+    assert verdict.stats["engine"]["faults"] > 0
+
+
+# ----------------------------------------------------------------------
+# Arming is all or nothing
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind,params", [
+    ("flap", {"target": "osd9", "down_for": 1.0}),   # unknown daemon
+    ("slow", {"target": "osd1", "factor": 0}),
+])
+def test_arm_schedules_nothing_unless_the_whole_schedule_resolves(
+        kind, params):
+    c = MalacologyCluster.build(osds=2, mdss=0, seed=5)
+    engine = NemesisEngine(c)
+    sched = NemesisSchedule(name="half-bad")
+    sched.add("crash", at=1.0, target="osd0")
+    sched.add(kind, at=2.0, **params)
+    with pytest.raises(ValueError):
+        engine.arm(sched)
+    c.run(5.0)
+    assert c.osds[0].alive
+    assert not engine.armed
+    assert c.sim.chaos is None
+    assert engine.injector.log == []
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +83,8 @@ def test_scenario_passes_oracles(scenario, seed):
 def test_store_eio_hits_the_osd_commits_but_not_pg_push():
     c = MalacologyCluster.build(osds=3, mdss=0, seed=33,
                                 pools={"data": {"size": 2, "pg_num": 32}})
-    plane = StoreFaultPlane(c.sim.rng("chaos:store"),
-                            clock=lambda: c.sim.now)
+    injector = FailureInjector(c.sim, c.net)
+    plane = StoreFaultPlane(c.sim.rng("chaos:store"), injector.record)
     for osd in c.osds:
         osd.store_faults = plane
     pgid, acting = locate(c.mons[0].store.osdmap, "data", "obj")
@@ -80,10 +104,10 @@ def test_store_eio_hits_the_osd_commits_but_not_pg_push():
         c.do(c.admin.rados_write_full("data", "obj", b"v2"))
     assert primary.pgs[key]["obj"].read() == b"v2"
     assert "obj" not in replica.pgs.get(key, {})
-    assert plane.log[-1][1:] == ("eio", f"{replica.name}:obj")
+    assert injector.log[-1][1:] == ("eio", f"{replica.name}:obj")
 
     # The mapping plane is never faulted: a pg_push still lands.
-    faults = plane.faults_injected
+    faults = len(injector.log)
     push = {"pool": "data", "pg": pgid,
             "objects": {"obj": primary.pgs[key]["obj"]}}
 
@@ -92,7 +116,7 @@ def test_store_eio_hits_the_osd_commits_but_not_pg_push():
 
     assert c.do(push_to_replica()) is True
     assert replica.pgs[key]["obj"].read() == b"v2"
-    assert plane.faults_injected == faults
+    assert len(injector.log) == faults
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ objects under store faults; the last test shows the oracle bites.
 
 import pytest
 
-from repro.chaos import run_case
+from repro.chaos import NemesisEngine, run_case, runner
 from repro.errors import NotFound
 from repro.objclass import ClassRegistry
 from repro.rados.objects import StoredObject
@@ -31,11 +31,21 @@ def test_transparency_workload_never_edits_a_committed_object():
         assert changed() == []
 
 
-def test_torn_store_chaos_never_edits_a_committed_object():
+def test_torn_store_chaos_never_edits_a_committed_object(monkeypatch):
+    engines = []
+
+    class KeptEngine(NemesisEngine):
+        def __init__(self, cluster):
+            super().__init__(cluster)
+            engines.append(self)
+
+    monkeypatch.setattr(runner, "NemesisEngine", KeptEngine)
     with watch_committed_objects() as changed:
         verdict = run_case("torn-store", 0)
         assert verdict.ok, verdict.to_dict()
-        assert verdict.stats["engine"]["store_faults"] > 0
+        store_faults = [kind for _t, kind, _d in engines[0].injector.log
+                        if kind in ("eio", "torn", "bitrot")]
+        assert store_faults
         assert changed() == []
 
 

@@ -85,8 +85,7 @@ def test_osd_kill_flips_health_and_recovery_restores_it():
     assert c.health()["status"] == "HEALTH_OK"
 
     injector = FailureInjector(c.sim, c.net)
-    t0 = c.sim.now
-    injector.crash_at(t0 + 1.0, c.osds[1])
+    c.sim.schedule(1.0, injector.crash, c.osds[1])
     c.run(20.0)  # peers report it, osdmap updates, mgr scrapes
 
     report = c.health()
@@ -106,7 +105,7 @@ def test_osd_kill_flips_health_and_recovery_restores_it():
     assert any("OSD_DOWN" in e.message and "osd1" in e.message
                for e in mgr_lines)
 
-    injector.restart_at(c.sim.now + 1.0, c.osds[1])
+    c.sim.schedule(1.0, injector.restart, c.osds[1])
     c.run(25.0)  # boot, mon marks it up, checks clear
     report = c.health()
     assert report["status"] == "HEALTH_OK", report

@@ -5,7 +5,6 @@ import pytest
 from repro.core import MalacologyCluster
 from repro.errors import AlreadyExists, NotFound, StaleEpoch
 from repro.rados.placement import locate
-from repro.sim import FailureInjector
 
 COUNTER_SOURCE = """
 def inc(ctx, args):

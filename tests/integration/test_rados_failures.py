@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import MalacologyCluster
 from repro.rados.placement import acting_set, locate
-from repro.sim import FailureInjector
 
 
 def test_acked_write_survives_primary_failure():

@@ -55,7 +55,7 @@ def test_order_survives_background_message_loss():
     c.do(c.admin.fs_mkdir("/lossy"))
     c.do(c.admin.fs_create("/lossy/seq", file_type="sequencer"))
     injector = FailureInjector(c.sim, c.net)
-    injector.set_loss_everywhere(0.01)  # 1% background loss
+    injector.set_loss("*", "*", 0.01)  # 1% background loss
     clients = [c.new_client(f"lossy{i}") for i in range(2)]
     results = drive(c, "/lossy/seq", clients, 60)
     everything = [p for r in results for p in r]

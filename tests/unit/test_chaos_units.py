@@ -92,9 +92,15 @@ def test_ddmin_returns_unchanged_when_not_failing():
 # ----------------------------------------------------------------------
 # Store fault plane
 # ----------------------------------------------------------------------
-def _plane(**kwargs):
-    # mal: disable=MAL002 -- fixed-seed RNG in a kernel-free unit test
-    return StoreFaultPlane(random.Random(1), clock=lambda: 0.0, **kwargs)
+class RecordingPlane(StoreFaultPlane):
+    """A store fault plane that keeps the faults it reports."""
+
+    def __init__(self):
+        self.faults = []
+        # mal: disable=MAL002 -- fixed-seed RNG in a kernel-free unit test
+        super().__init__(random.Random(1),
+                         lambda kind, detail: self.faults.append(
+                             (kind, detail)))
 
 
 def _obj(oid, data=b"payload", omap=None):
@@ -112,18 +118,17 @@ def _commit(plane, owner, store, obj):
 
 
 def test_eio_raises_and_nothing_persists():
-    plane = _plane()
+    plane = RecordingPlane()
     store = MemStore()
     plane.set_eio(1.0)
     with pytest.raises(MalacologyError):
         _commit(plane, "osd0", store, _obj("x"))
     assert "x" not in store
-    assert plane.faults_injected == 1
-    assert plane.log[0][1] == "eio"
+    assert [kind for kind, _d in plane.faults] == ["eio"]
 
 
 def test_torn_commit_persists_frankenstein_state():
-    plane = _plane()
+    plane = RecordingPlane()
     store = MemStore()
     old = _obj("x", data=b"old", omap={"k": "old"})
     _commit(plane, "osd0", store, old)
@@ -135,11 +140,11 @@ def test_torn_commit_persists_frankenstein_state():
     torn = store["x"]
     assert bytes(torn.data) == b"new-data"  # data made it to the medium
     assert torn.omap == {"k": "old"}        # metadata did not
-    assert plane.log[-1][1] == "torn"
+    assert plane.faults[-1][0] == "torn"
 
 
 def test_fault_targets_limit_blast_radius():
-    plane = _plane()
+    plane = RecordingPlane()
     hit, spared = MemStore(), MemStore()
     plane.set_eio(1.0, targets={"osd0"})
     with pytest.raises(MalacologyError):
@@ -154,7 +159,7 @@ def test_fault_targets_limit_blast_radius():
 def test_each_fault_kind_keeps_its_own_targets():
     """A targeted window of one kind never narrows the other kind, and
     every ``set_*`` call replaces that kind's targets."""
-    plane = _plane()
+    plane = RecordingPlane()
     store = MemStore()
     plane.set_eio(1.0)
     plane.set_torn(0.5, targets={"osd3"})
@@ -170,7 +175,7 @@ def test_each_fault_kind_keeps_its_own_targets():
 
 
 def test_flip_bit_changes_data_without_version_bump():
-    plane = _plane()
+    plane = RecordingPlane()
     store = MemStore()
     obj = _obj("x", data=b"\x00\x00\x00\x00")
     store["x"] = obj
@@ -191,12 +196,12 @@ def test_mutable_mapping_plane_is_never_faulted():
     or injected faults would be unrecoverable by design.  The plane
     only acts when asked at a commit: a mapping write beside an active
     plane lands and draws nothing."""
-    plane = _plane()
+    plane = RecordingPlane()
     store = MemStore()
     plane.set_eio(1.0)
     plane.set_torn(1.0)
     state = plane.rng.getstate()
     store["x"] = _obj("x")
     assert bytes(store["x"].data) == b"payload"
-    assert plane.faults_injected == 0
+    assert plane.faults == []
     assert plane.rng.getstate() == state

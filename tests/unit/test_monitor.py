@@ -103,7 +103,7 @@ def test_leader_failover_preserves_data_and_liveness():
     sim, net, mons, leader, client = make_cluster()
     run_script(sim, client, client.mon_kv_put("durable", "yes"))
     inj = FailureInjector(sim, net)
-    inj.crash_at(sim.now + 0.1, leader)
+    sim.schedule(0.1, inj.crash, leader)
     sim.run(until=sim.now + 5.0)
     new_leaders = [m for m in mons if m.alive and m.is_leader]
     assert len(new_leaders) == 1
@@ -193,14 +193,14 @@ def test_new_leader_adopts_an_accepted_uncommitted_batch():
     sim, net, mons, leader, client = make_cluster()
     commits = []    # (sender, instance, batch id) of every commit cast
 
-    def hook(src, dst, envelope, delay):
+    def hook(src, dst, envelope):
         if envelope.method != "paxos_commit":
             return None
         payload = envelope.payload
         commits.append((src, payload["instance"], payload["value"]["id"]))
         return [] if src == leader.name else None
 
-    net.chaos_hook = hook
+    net.fault_hook = hook
     assert run_script(sim, client, client.mon_kv_put("adopted", 1)) == 1
     leader.crash()
     dropped = {(inst, batch) for src, inst, batch in commits

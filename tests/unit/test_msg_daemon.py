@@ -186,7 +186,8 @@ def test_crash_cancels_tickers_and_restart_hook_runs():
 def test_failure_injector_crash_and_restart():
     sim, net, server, client = make_pair()
     inj = FailureInjector(sim, net)
-    inj.flap(server, down_at=1.0, up_at=3.0)
+    sim.schedule(1.0, inj.crash, server)
+    sim.schedule(3.0, inj.restart, server)
     f1 = client.call("server", "echo", "a", timeout=0.5)
     sim.run(until=2.0)
     assert not f1.failed  # sent at t=0, served before crash
