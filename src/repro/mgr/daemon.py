@@ -39,6 +39,7 @@ from repro.mgr.health import (
     ClusterSample,
     HealthReport,
     evaluate_health,
+    observe_planes,
 )
 from repro.mgr.prometheus import prometheus_export
 from repro.mgr.timeseries import DaemonSeries
@@ -77,7 +78,6 @@ class MgrDaemon(Daemon, MonitorClient):
         self.last_sample: Optional[ClusterSample] = None
         self.last_report: Optional[HealthReport] = None
         self.scrape_count = 0
-        self._last_dumps: Dict[str, Dict[str, Any]] = {}
         self._audit: Dict[str, List[Dict[str, Any]]] = {}
         self._audit_seen: Dict[str, int] = {}
         #: check name -> status at the previous evaluation (transition
@@ -130,12 +130,7 @@ class MgrDaemon(Daemon, MonitorClient):
                 yield from self._collect_audit(target)
         sample.osdmap = self.cached_maps.get("osd")
         sample.mdsmap = self.cached_maps.get("mds")
-        # Out-of-band reads (no messages): a fault-free managed run
-        # stays schedule-identical whether or not these are captured.
-        engine = self.sim.chaos
-        if engine is not None:
-            sample.chaos = engine.status()
-        self._last_dumps = dict(sample.dumps)
+        observe_planes(sample, self.sim, self.network)
         report = evaluate_health(self.checks, sample)
         yield from self._log_transitions(report)
         self.last_sample = sample
@@ -243,38 +238,14 @@ class MgrDaemon(Daemon, MonitorClient):
     def metrics_export(self) -> str:
         """Prometheus text format over the last scrape's dumps.
 
-        When the simulator has a profiler installed, a synthetic
-        ``kernel`` target is spliced in carrying the kernel-plane
-        counters and gauges (event totals and rate, queue-depth and
-        ready-batch high-water marks) — read out-of-band from the
-        profiler, so the export itself costs no cluster traffic.
-
-        A synthetic ``network`` target always carries the message
-        plane: sent/delivered totals, duplication and corruption
-        counts, and the cause-labeled drop counters.  When a chaos
-        engine is armed on the kernel, a ``chaos`` target adds its
-        fault totals so dashboards can correlate injected faults with
-        the damage they cause.
+        Daemons and the simulator-wide planes alike: the ``network``
+        target always, ``kernel`` while a profiler is installed and
+        ``chaos`` while an engine is attached (see
+        :func:`~repro.mgr.health.observe_planes`).  Readings are as of
+        that scrape, so the export itself costs no cluster traffic.
         """
-        dumps = dict(self._last_dumps)
-        profiler = self.sim.profiler
-        if profiler is not None:
-            dumps["kernel"] = profiler.prometheus_dump()
-        dumps["network"] = {
-            "counters": {f"net.{key}": float(value)
-                         for key, value in self.network.stats().items()},
-        }
-        engine = self.sim.chaos
-        if engine is not None:
-            status = engine.status()
-            dumps["chaos"] = {
-                "counters": {"chaos.faults": float(status["faults"])},
-                "gauges": {
-                    "chaos.armed": 1.0 if status["armed"] else 0.0,
-                    "chaos.schedule_ops": float(status["ops"]),
-                },
-            }
-        return prometheus_export(dumps)
+        sample = self.last_sample
+        return prometheus_export(sample.dumps if sample else {})
 
     def changelog_status(self) -> Dict[str, Any]:
         """Changelog stream health, derived from the last scrape.
@@ -296,8 +267,9 @@ class MgrDaemon(Daemon, MonitorClient):
             "audit_records": 0.0,
             "lag": {},
         }
+        dumps = self.last_sample.dumps if self.last_sample else {}
         for name in daemons:
-            dump = self._last_dumps.get(name)
+            dump = dumps.get(name)
             if dump is None:
                 continue
             counters = dump.get("counters", {})
@@ -347,7 +319,6 @@ class MgrDaemon(Daemon, MonitorClient):
         self.last_sample = None
         self.last_report = None
         self.scrape_count = 0
-        self._last_dumps = {}
         self._audit = {}
         # _audit_seen survives conceptually (dedup hint), but the MDS
         # trails are volatile too; starting from zero only re-fetches

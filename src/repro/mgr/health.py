@@ -1,8 +1,9 @@
 """Cluster health checks (Ceph mgr's ``health`` module).
 
 A health check is a plain function of one :class:`ClusterSample` — the
-most recent scrape of every daemon's ``telemetry.dump`` plus the
-cluster maps and the per-daemon time series.  It either stays silent
+most recent scrape of every daemon's ``telemetry.dump`` and of the
+simulator-wide planes (:func:`observe_planes`), plus the cluster maps
+and the per-target time series.  It either stays silent
 (returns ``None``: healthy) or returns a :class:`HealthCheckResult`
 with a severity and structured detail.  :data:`CHECKS` lists them all
 in report order; their thresholds are the module constants below.  The
@@ -19,7 +20,7 @@ benchmark via :func:`sample_cluster`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.mgr.timeseries import DaemonSeries
 
@@ -44,25 +45,24 @@ class ClusterSample:
     """Everything a health check may look at for one evaluation."""
 
     time: float
-    #: daemon name -> its ``telemetry.dump`` payload.
+    #: target name -> its ``telemetry.dump`` payload (a plane's dump
+    #: has the same shape, see :func:`observe_planes`).
     dumps: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: daemon name -> error string for daemons the scrape could not
     #: reach (crashed or unknown mid-scrape).
     failed: Dict[str, str] = field(default_factory=dict)
-    #: daemon name -> role ("mon" / "osd" / "mds" / "client" / "mgr").
+    #: target name -> role ("mon" / "osd" / "mds" / "changelog" /
+    #: "plane").
     roles: Dict[str, str] = field(default_factory=dict)
     #: Latest cluster maps (may be None before the first map arrives).
     osdmap: Optional[Any] = None
     mdsmap: Optional[Any] = None
-    #: daemon name -> retained time series across scrapes.
+    #: target name -> retained time series across scrapes.
     series: Dict[str, DaemonSeries] = field(default_factory=dict)
-    #: Nemesis engine status (``sim.chaos.status()``) when a chaos
-    #: engine is attached to the kernel; None otherwise.
-    chaos: Optional[Dict[str, Any]] = None
 
     def observe(self, daemon: str, role: str,
                 dump: Dict[str, Any]) -> None:
-        """Record one daemon's scrape: its role, its dump, a series point."""
+        """Record one target's scrape: its role, its dump, a series point."""
         self.roles[daemon] = role
         self.dumps[daemon] = dump
         self.series_of(daemon).observe_dump(self.time, dump)
@@ -176,6 +176,31 @@ def daemon_unreachable(sample: ClusterSample
         {"daemons": {n: sample.failed[n] for n in names}})
 
 
+def _held(sample: ClusterSample, role: str, gauge: str, window: float,
+          holds: Callable[[float], bool]
+          ) -> Iterator[Tuple[str, DaemonSeries, float]]:
+    """``(daemon, series, floor)`` where a gauge held for a whole window.
+
+    Covers each ``role`` daemon whose ``gauge`` has at least
+    :data:`MIN_SCRAPES` points and whose floor (smallest value) over the
+    trailing ``window`` satisfies ``holds``.
+    """
+    for daemon in sample.named(role):
+        series = sample.series.get(daemon)
+        points = series.maybe(f"gauge:{gauge}") if series else None
+        if points is None or len(points) < MIN_SCRAPES:
+            continue
+        floor = points.min_over(window)
+        if holds(floor):
+            yield daemon, series, floor
+
+
+def _moved(series: DaemonSeries, counter: str, window: float) -> float:
+    """How far ``counter`` rose over the trailing ``window`` (0 unseen)."""
+    points = series.maybe(f"counter:{counter}")
+    return points.delta(window) if points else 0.0
+
+
 def paxos_stall(sample: ClusterSample) -> Optional[HealthCheckResult]:
     """A monitor sits on pending transactions but commits nothing.
 
@@ -184,21 +209,11 @@ def paxos_stall(sample: ClusterSample) -> Optional[HealthCheckResult]:
     advance — consensus is wedged, which is an error, not a warning.
     """
     window = PAXOS_STALL_WINDOW
-    stalled = {}
-    for mon in sample.named("mon"):
-        series = sample.series.get(mon)
-        if series is None:
-            continue
-        pending = series.maybe("gauge:paxos.pending_txns")
-        if pending is None or len(pending) < MIN_SCRAPES:
-            continue
-        if pending.min_over(window) <= 0:
-            continue  # drained at some point in the window
-        commits = series.maybe("counter:paxos.commit")
-        committed = commits.delta(window) if commits else 0.0
-        if committed <= 0:
-            latest = pending.latest()
-            stalled[mon] = latest[1] if latest else 0.0
+    stalled = {
+        mon: series.series("gauge:paxos.pending_txns").latest()[1]
+        for mon, series, _ in _held(sample, "mon", "paxos.pending_txns",
+                                    window, lambda floor: floor > 0)
+        if _moved(series, "paxos.commit", window) <= 0}
     if not stalled:
         return None
     return HealthCheckResult(
@@ -253,17 +268,9 @@ def cap_revoke_stuck(sample: ClusterSample
     A cooperative revoke that never completes means a client is dead or
     misbehaving and the Shared Resource interface is blocked on it.
     """
-    stuck = {}
-    for mds in sample.named("mds"):
-        series = sample.series.get(mds)
-        if series is None:
-            continue
-        revoking = series.maybe("gauge:caps.revoking")
-        if revoking is None or len(revoking) < MIN_SCRAPES:
-            continue
-        floor = revoking.min_over(CAP_REVOKE_STUCK_FOR)
-        if floor > 0:
-            stuck[mds] = floor
+    stuck = {mds: floor for mds, _, floor in _held(
+        sample, "mds", "caps.revoking", CAP_REVOKE_STUCK_FOR,
+        lambda floor: floor > 0)}
     if not stuck:
         return None
     return HealthCheckResult(
@@ -369,23 +376,13 @@ def changelog_trim_stalled(sample: ClusterSample
     (e.g. a registered cursor stopped acking).
     """
     window = CHANGELOG_TRIM_WINDOW
-    stalled: Dict[str, float] = {}
-    for daemon in sample.named("changelog"):
-        series = sample.series.get(daemon)
-        if series is None:
-            continue
-        retained = series.maybe("gauge:changelog.retained")
-        if retained is None or len(retained) < MIN_SCRAPES:
-            continue
-        floor = retained.min_over(window)
-        if floor < CHANGELOG_MIN_RETAINED:
-            continue
-        appended = series.maybe("counter:changelog.appended")
-        trimmed = series.maybe("counter:changelog.trimmed")
-        grew = appended.delta(window) if appended else 0.0
-        reclaimed = trimmed.delta(window) if trimmed else 0.0
-        if grew > 0 and reclaimed <= 0:
-            stalled[daemon] = floor
+    stalled = {
+        daemon: floor
+        for daemon, series, floor in _held(
+            sample, "changelog", "changelog.retained", window,
+            lambda floor: floor >= CHANGELOG_MIN_RETAINED)
+        if _moved(series, "changelog.appended", window) > 0
+        and _moved(series, "changelog.trimmed", window) <= 0}
     if not stalled:
         return None
     return HealthCheckResult(
@@ -437,21 +434,12 @@ def compaction_stalled(sample: ClusterSample
     or wedged and read amplification only grows.
     """
     window = COMPACTION_WINDOW
-    stalled: Dict[str, float] = {}
-    for osd in sample.named("osd"):
-        series = sample.series.get(osd)
-        if series is None:
-            continue
-        garbage = series.maybe("gauge:store.log.garbage_ratio")
-        if garbage is None or len(garbage) < MIN_SCRAPES:
-            continue
-        floor = garbage.min_over(window)
-        if floor < COMPACTION_MIN_RATIO:
-            continue
-        compactions = series.maybe("counter:store.logstructured.compaction")
-        reclaimed = compactions.delta(window) if compactions else 0.0
-        if reclaimed <= 0:
-            stalled[osd] = floor
+    stalled = {
+        osd: floor
+        for osd, series, floor in _held(
+            sample, "osd", "store.log.garbage_ratio", window,
+            lambda floor: floor >= COMPACTION_MIN_RATIO)
+        if _moved(series, "store.logstructured.compaction", window) <= 0}
     if not stalled:
         return None
     return HealthCheckResult(
@@ -469,18 +457,20 @@ def chaos_nemesis_active(sample: ClusterSample
     Chaos runs are deliberate, but an operator looking at a sick
     cluster should see at a glance that faults are being *injected*
     rather than organic — the same reason Ceph surfaces ``noout`` and
-    friends as health warnings.  Reads the engine status the sampler
-    captured out-of-band; clusters without an engine never fire it.
+    friends as health warnings.  Reads the ``chaos`` plane's dump
+    (:func:`observe_planes`); clusters without an engine never fire it.
     """
-    chaos = sample.chaos
-    if not chaos or not chaos.get("armed"):
+    chaos = sample.dumps.get("chaos")
+    if chaos is None or not chaos["gauges"]["chaos.armed"]:
         return None
+    detail = {"armed": True, "schedule": chaos["owner"],
+              "ops": int(chaos["gauges"]["chaos.schedule_ops"]),
+              "faults": int(chaos["counters"]["chaos.faults"])}
     return HealthCheckResult(
         "CHAOS_NEMESIS_ACTIVE", HEALTH_WARN,
-        f"nemesis schedule {chaos.get('schedule')!r} is armed: "
-        f"{chaos.get('ops', 0)} ops, "
-        f"{chaos.get('faults', 0)} faults so far",
-        dict(chaos))
+        f"nemesis schedule {detail['schedule']!r} is armed: "
+        f"{detail['ops']} ops, {detail['faults']} faults so far",
+        detail)
 
 
 #: The checks the mgr evaluates every scrape, in report order.
@@ -540,7 +530,42 @@ def sample_cluster(cluster: Any,
             best_mds = mdsmap
     sample.osdmap = best_osd
     sample.mdsmap = best_mds
-    engine = cluster.sim.chaos
-    if engine is not None:
-        sample.chaos = engine.status()
+    observe_planes(sample, cluster.sim, cluster.net)
     return sample
+
+
+def observe_planes(sample: ClusterSample, sim: Any, network: Any) -> None:
+    """Sample the simulator-wide planes into ``sample`` as role ``plane``.
+
+    ``network`` always carries the message plane: sent/delivered
+    totals, duplication and corruption counts and the cause-labeled
+    drop counters.  ``kernel`` (while a profiler is installed) carries
+    event totals and rate and the queue-depth and ready-batch
+    high-water marks.  ``chaos`` (while an engine is attached) carries
+    the fault total, the armed flag and the schedule size, with the
+    schedule's name as its ``owner``.  Read out-of-band — no messages,
+    no simulated time — so the planes get series like any daemon.
+    """
+    sample.observe("network", "plane", {"counters": {
+        f"net.{key}": float(value)
+        for key, value in network.stats().items()}})
+    if sim.profiler is not None:
+        kernel = sim.profiler.status()
+        sample.observe("kernel", "plane", {
+            "counters": {
+                "kernel.events": float(kernel["events_dispatched"]),
+                "kernel.events_cancelled":
+                    float(kernel["events_cancelled"]),
+            },
+            "gauges": {f"kernel.{name}": float(kernel[name]) for name in (
+                "event_rate_sim", "queue_depth", "queue_hwm",
+                "ready_hwm")},
+        })
+    if sim.chaos is not None:
+        chaos = sim.chaos.status()
+        sample.observe("chaos", "plane", {
+            "owner": chaos["schedule"],
+            "counters": {"chaos.faults": float(chaos["faults"])},
+            "gauges": {"chaos.armed": 1.0 if chaos["armed"] else 0.0,
+                       "chaos.schedule_ops": float(chaos["ops"])},
+        })

@@ -239,12 +239,21 @@ class Daemon:
                 src=env.src, kind=env.kind)
             ctx = SpanContext(span.trace_id, span.span_id)
         started = self.sim.now
+        # Only the synchronous part runs here, with ``ctx`` active; a
+        # generator handler's later steps keep it via _run_traced.
+        # ``_complete`` runs under ``prev``.
+        prev, self._trace_ctx = self._trace_ctx, ctx
         try:
-            result = self._invoke(handler, env, ctx)
+            result = handler(env.src, env.payload)
         except MalacologyError as exc:
+            self._trace_ctx = prev
             self._complete(env, span, started, error=exc)
             return
+        finally:
+            self._trace_ctx = prev
         if isinstance(result, GeneratorType):
+            if ctx is not None:
+                result = self._run_traced(result, ctx)
             result = self.spawn(
                 result, name=f"{self.name}:{env.method}").completion
         if isinstance(result, Future):
@@ -253,30 +262,6 @@ class Daemon:
                 None if fut.failed else fut.result(), fut.error))
         else:
             self._complete(env, span, started, result)
-
-    def _invoke(self, handler: Callable[[str, Any], Any], env: Envelope,
-                ctx: Optional[SpanContext]) -> Any:
-        """Run a handler's synchronous portion with ``ctx`` active.
-
-        The daemon-side call site of the wall-clock plane, which is
-        charged what runs inline here.  A generator handler only gets
-        to its first yield; its later resumptions are charged by the
-        kernel dispatch step under the process's name and keep ``ctx``
-        through :meth:`_run_traced`, so outgoing call/cast between
-        yields inherit the right span even when handlers interleave.
-        """
-        wall = self.sim.wall_profiler
-        token = wall.begin() if wall is not None else None
-        prev, self._trace_ctx = self._trace_ctx, ctx
-        try:
-            result = handler(env.src, env.payload)
-        finally:
-            self._trace_ctx = prev
-            if wall is not None:
-                wall.end_handler(token, self.name, env.method)
-        if ctx is not None and isinstance(result, GeneratorType):
-            result = self._run_traced(result, ctx)
-        return result
 
     def _run_traced(self, body: Generator, ctx: SpanContext) -> Generator:
         """Pass-through trampoline keeping ``_trace_ctx`` set per step.

@@ -10,17 +10,20 @@ existing machinery, not a fork of it):
   daemon's ``rpc.<method>`` telemetry already holds.  Schedule-identity
   pinned: a profiled run replays byte-identical to an unprofiled one.
 * **host plane** — :class:`WallClockProfiler`: real nanoseconds and
-  allocation-block deltas attributed across the heapq + generator
-  trampoline (the hot path ROADMAP item 1 rewrites), with top-N
-  hotspot reports and flamegraph-ready collapsed stacks.  The one
-  sanctioned MAL001-waived wall-clock consumer outside the kernel.
+  allocation-block deltas of each kernel dispatch step (its only call
+  site), attributed to the process step, ``<daemon>:<method>``
+  delivery or callback it ran — the heapq + generator trampoline hot
+  path ROADMAP item 1 rewrites — with top-N hotspot reports and
+  flamegraph-ready collapsed stacks.  The one sanctioned
+  MAL001-waived wall-clock consumer outside the kernel.
 * **export plane** — :func:`chrome_trace` / :func:`write_chrome_trace`:
   the causal span trees plus the kernel tape as a Perfetto-loadable
   ``trace.json``.
 
 Enable with ``MalacologyCluster.build(profile=True)``; query anywhere
-via the ``profile.status`` / ``profile.dump`` admin commands;
-Prometheus kernel gauges ride the mgr's ``metrics.export``.
+via the ``profile.status`` / ``profile.dump`` admin commands.  The
+mgr scrapes the simulation plane as its ``kernel`` target
+(:func:`repro.mgr.health.observe_planes`), like any daemon.
 """
 
 from repro.profiling.admin import (

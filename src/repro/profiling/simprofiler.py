@@ -86,22 +86,6 @@ class SimProfiler:
             "ready_hwm": self.ready_hwm,
         }
 
-    def prometheus_dump(self) -> Dict[str, Any]:
-        """A telemetry-dump-shaped view for the synthetic ``kernel``
-        target the mgr splices into its Prometheus export."""
-        return {
-            "counters": {
-                "kernel.events": float(self.events_dispatched),
-                "kernel.events_cancelled": float(self.events_cancelled),
-            },
-            "gauges": {
-                "kernel.event_rate_sim": self.event_rate_sim(),
-                "kernel.queue_depth": float(len(self.sim._queue)),
-                "kernel.queue_hwm": float(self.queue_hwm),
-                "kernel.ready_hwm": float(self.ready_hwm),
-            },
-        }
-
     def reset(self) -> None:
         self.events_dispatched = 0
         self.events_cancelled = 0

@@ -4,19 +4,17 @@ Where :mod:`repro.profiling.simprofiler` answers "what did the cluster
 do in simulated time", this plane answers "where did the *host's* time
 and memory actually go" — the question ROADMAP item 1's kernel rewrite
 must be judged by.  It attributes real nanoseconds and interpreter
-allocation-block deltas to:
+allocation-block deltas to every **kernel dispatch** (the heapq pop +
+callback invocation), keyed by what the callback is:
 
-* every **kernel dispatch** (the heapq pop + callback invocation),
-  keyed by what the callback is — a process step (by process name,
-  e.g. ``mds0:fs_open``), a network delivery (by RPC method), a timer
-  or future callback (by qualified name);
-* every **synchronous handler invocation** on a daemon (the portion of
-  ``Daemon._on_request`` that runs inline, before any generator is
-  handed to the trampoline), keyed by ``(daemon, method)``.
+* a process step, by process name (e.g. ``mds0:fs_open``) — the
+  generator trampoline, including every resumed generator handler;
+* a network delivery, by ``<dst>:<method>`` — the receiving daemon's
+  dispatch plus its handler's synchronous part, which runs inline;
+* a timer or future callback, by qualified name.
 
-Generator handlers resumed through the trampoline surface as process
-steps, so the two key spaces together cover the whole
-heapq + generator trampoline hot path.
+The kernel's dispatch step is the plane's only call site, so no key
+nests inside another and every key's share is of the same total.
 
 All clock reads go through :mod:`repro.profiling.hostclock` (the one
 sanctioned MAL001-waived boundary).  Readings never influence the
@@ -59,7 +57,7 @@ class WallClockProfiler:
 
     def __init__(self, sim: Any):
         self.sim = sim
-        #: ("dispatch", kind, name) and ("handler", daemon, method).
+        #: ("dispatch", kind, name) -> accumulated cost.
         self._stats: Dict[Tuple[str, str, str], WallStat] = {}
         self.started_ns = host_perf_ns()
 
@@ -71,13 +69,7 @@ class WallClockProfiler:
 
     def end_dispatch(self, token: Token, call: Any) -> None:
         """Charge one kernel dispatch to the callback's identity."""
-        self._record(self._dispatch_key(call), token)
-
-    def end_handler(self, token: Token, daemon: str, method: str) -> None:
-        """Charge one synchronous handler invocation."""
-        self._record(("handler", daemon, method), token)
-
-    def _record(self, key: Tuple[str, str, str], token: Token) -> None:
+        key = self._dispatch_key(call)
         stat = self._stats.get(key)
         if stat is None:
             stat = self._stats[key] = WallStat()
@@ -95,9 +87,9 @@ class WallClockProfiler:
             return ("dispatch", "process",
                     getattr(bound_to, "name", "proc"))
         if cls == "Network" and fn_name == "_deliver":
-            env = call.args[1] if len(call.args) > 1 else None
+            dst, env = call.args
             method = getattr(env, "method", None) or "message"
-            return ("dispatch", "deliver", method)
+            return ("dispatch", "deliver", f"{dst}:{method}")
         if cls == "Future":
             return ("dispatch", "future", fn_name)
         where = f"{cls}.{fn_name}" if cls else fn_name
@@ -107,14 +99,8 @@ class WallClockProfiler:
     # Reporting
     # ------------------------------------------------------------------
     def total_ns(self) -> int:
-        """Attributed wall nanoseconds across all dispatch keys.
-
-        Handler keys nest inside dispatch keys (a synchronous handler
-        runs within a delivery dispatch), so only the dispatch plane is
-        summed to avoid double counting.
-        """
-        return sum(s.wall_ns for (plane, _, _), s in self._stats.items()
-                   if plane == "dispatch")
+        """Attributed wall nanoseconds across all keys."""
+        return sum(s.wall_ns for s in self._stats.values())
 
     def hotspots(self, n: int = 10) -> List[Dict[str, Any]]:
         """Top-``n`` attribution keys by accumulated wall time."""
@@ -126,8 +112,7 @@ class WallClockProfiler:
             out.append({
                 "plane": plane, "kind": kind, "name": name,
                 **stat.to_dict(),
-                "share": stat.wall_ns / total if plane == "dispatch"
-                else None,
+                "share": stat.wall_ns / total,
                 "mean_ns": stat.wall_ns / stat.count if stat.count else 0,
             })
         return out
@@ -137,8 +122,7 @@ class WallClockProfiler:
 
         One ``frame;frame;frame value`` line per attribution key, value
         in integer nanoseconds — feed straight to ``flamegraph.pl`` or
-        speedscope.  The synthetic root frame is ``kernel`` so both
-        planes share one flame.
+        speedscope.  The synthetic root frame is ``kernel``.
         """
         lines = []
         for (plane, kind, name), stat in sorted(self._stats.items()):

@@ -117,8 +117,6 @@ class OSD(Daemon, MonitorClient):
         self.perf.gauge_fn("store.cache.dirty", self._gauge_cache_dirty)
         self.perf.gauge_fn("store.log.garbage_ratio",
                            self._gauge_log_garbage)
-        self.perf.gauge_fn("store.log.compactions",
-                           self._gauge_log_compactions)
         self.register_admin_command("store.status",
                                     self._admin_store_status)
         self.register_admin_command("scrub.trigger",
@@ -308,7 +306,9 @@ class OSD(Daemon, MonitorClient):
         key = (pool, pgid)
         store = self.pgs.get(key)
         if store is None:
-            store = self._build_store(self._pool_cfg(pool))
+            cfg = self._pool_cfg(pool)
+            store = make_store(cfg.get("backend"), cfg.get("cache"),
+                               perf=self.perf)
             self.pgs[key] = store
             if store.needs_maintenance:
                 self._ensure_store_ticker()
@@ -322,27 +322,15 @@ class OSD(Daemon, MonitorClient):
             return {}
         return m.pool(pool)
 
-    def _build_store(self, cfg: Dict[str, Any]) -> ObjectStore:
-        if "ec" in cfg:
-            # EC pools keep plain manifests locally; the shard path is
-            # its own subsystem and never combines with a backend.
-            return make_store(None, None, perf=self.perf)
-        return make_store(cfg.get("backend"), cfg.get("cache"),
-                          perf=self.perf)
-
     @staticmethod
     def _store_matches(store: ObjectStore, cfg: Dict[str, Any]) -> bool:
-        backend = None if "ec" in cfg else cfg.get("backend")
-        cache = None if "ec" in cfg else cfg.get("cache")
-        if isinstance(store, CacheTier) != (cache is not None):
+        # The monitor keeps "ec" apart from "backend"/"cache" and stores
+        # backends normalized, so the declaration is read as it is.
+        backend = cfg.get("backend")
+        if isinstance(store, CacheTier) != (cfg.get("cache") is not None):
             return False
         base = store.base if isinstance(store, CacheTier) else store
-        if backend is None:
-            want = "memstore"
-        elif isinstance(backend, str):
-            want = backend
-        else:
-            want = backend.get("profile", "memstore")
+        want = "memstore" if backend is None else backend["profile"]
         return base.profile == want
 
     def _reconcile_store_types(self, m: OSDMap) -> None:
@@ -361,7 +349,8 @@ class OSD(Daemon, MonitorClient):
             store = self.pgs[key]
             if self._store_matches(store, cfg):
                 continue
-            replacement = self._build_store(cfg)
+            replacement = make_store(cfg.get("backend"), cfg.get("cache"),
+                                     perf=self.perf)
             for oid in sorted(store):
                 replacement[oid] = store[oid]
             self.pgs[key] = replacement
@@ -425,10 +414,6 @@ class OSD(Daemon, MonitorClient):
         if not stores:
             return None
         return max(s.eligible_garbage_ratio() for s in stores)
-
-    def _gauge_log_compactions(self) -> Optional[int]:
-        stores = self._log_stores()
-        return sum(s.compactions for s in stores) if stores else None
 
     # ------------------------------------------------------------------
     # Client I/O path

@@ -10,6 +10,7 @@ while health is steady — is pinned in ``test_observer_transparency.py``.
 
 import pytest
 
+from repro.chaos import NemesisEngine, NemesisSchedule
 from repro.core import LoadBalancingInterface, MalacologyCluster
 from repro.mantle import attach_balancers, builtin
 from repro.mgr.prometheus import parse_prometheus_text
@@ -130,6 +131,30 @@ def test_mid_scrape_crash_does_not_kill_the_scrape_loop():
     report = c.health()
     assert report["checks"]["DAEMON_UNREACHABLE"]["status"] \
         == "HEALTH_WARN"
+
+
+def test_simulator_planes_are_scraped_like_daemons():
+    """The network and chaos planes land in the scrape with series."""
+    c = MalacologyCluster.build(osds=3, mdss=1, mons=3, seed=45,
+                                mgr=True)
+    schedule = NemesisSchedule(name="one-crash", duration=10.0)
+    NemesisEngine(c).arm(schedule.add("crash", 1.0, target="osd2"))
+    c.run(10.0)
+    sample = c.mgr.last_sample
+    assert sample.roles["network"] == sample.roles["chaos"] == "plane"
+    assert "kernel" not in sample.dumps  # no profiler installed
+    sent = c.mgr.series["network"].maybe("counter:net.messages_sent")
+    assert len(sent) >= 3 and sent.delta() > 0
+    chaos = c.health()["checks"]["CHAOS_NEMESIS_ACTIVE"]
+    assert chaos["detail"] == {"armed": True, "schedule": "one-crash",
+                               "ops": 1, "faults": 1}
+    assert chaos["summary"] == ("nemesis schedule 'one-crash' is armed: "
+                                "1 ops, 1 faults so far")
+    exported = {(s.labels["daemon"], s.labels["name"]): s.value
+                for s in parse_prometheus_text(c.mgr.metrics_export())}
+    assert exported[("chaos", "chaos.faults")] == 1
+    assert exported[("network", "net.messages_sent")] \
+        == sample.dumps["network"]["counters"]["net.messages_sent"]
 
 
 # ----------------------------------------------------------------------
