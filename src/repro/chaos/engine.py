@@ -103,8 +103,8 @@ class NemesisEngine:
         """JSON-safe snapshot for the mgr's chaos health check."""
         return {
             "armed": self.armed,
-            "schedule": self.schedule.name if self.schedule else None,
-            "ops": len(self.schedule) if self.schedule else 0,
+            "schedule": None if self.schedule is None else self.schedule.name,
+            "ops": 0 if self.schedule is None else len(self.schedule),
             "faults": sum(1 for _t, kind, _d in self.injector.log
                           if kind not in MARKERS),
         }

@@ -11,7 +11,8 @@ after a quota of local operations bounded by the maximum reservation
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, Generator, Iterator, Optional, Tuple
 
 from repro.errors import (
     DaemonDown,
@@ -24,6 +25,31 @@ from repro.errors import (
 from repro.mds.capability import BEST_EFFORT, DELAY, QUOTA
 from repro.monitor.monitor import MonitorClient
 from repro.sim.event import Future, Timeout
+
+
+class PositionTrace:
+    """(time, position) per granted sequencer position, in grant order.
+
+    Two flat columns, 16 bytes per op where a list of tuples took
+    about 120.  Iterating yields ``(time, position)`` pairs and can be
+    repeated.
+    """
+
+    __slots__ = ("times", "positions")
+
+    def __init__(self) -> None:
+        self.times = array("d")
+        self.positions = array("q")
+
+    def append(self, t: float, pos: int) -> None:
+        self.times.append(t)
+        self.positions.append(pos)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __iter__(self) -> Iterator[Tuple[float, int]]:
+        return zip(self.times, self.positions)
 
 
 class FsClient(MonitorClient):
@@ -49,7 +75,7 @@ class FsClient(MonitorClient):
         #: which for a sequencer means duplicate positions.
         self._releasing: Dict[str, Any] = {}
         #: Trace of (time, value) per granted position — Figure 5 data.
-        self.seq_trace: List[Tuple[float, int]] = []
+        self.seq_trace = PositionTrace()
         #: Revokes that arrived before their grant (the cast can overtake
         #: the grant reply on the wire): (ino, seq) pairs applied the
         #: moment the matching grant is adopted.
@@ -219,7 +245,7 @@ class FsClient(MonitorClient):
                 break
             self.perf.incr("cap.acquired")
             self._adopt_grant(path, grant)
-        self.seq_trace.append((self.sim.now, pos))
+        self.seq_trace.append(self.sim.now, pos)
         self.perf.time("seq.next", self.sim.now - started, retain=True)
         return pos
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -22,19 +22,27 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     """
     if not samples:
         raise ValueError("percentile of empty sample set")
+    ordered = sorted(samples)
+    return ranked_percentile(ordered.__getitem__, len(ordered), pct)
+
+
+def ranked_percentile(at: Callable[[int], float], n: int,
+                      pct: float) -> float:
+    """:func:`percentile` of ``n`` samples, where ``at(i)`` is the
+    ``i``-th smallest: callers that keep samples in another ordered
+    form (run-length, say) get the same result bit for bit."""
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
+    if n == 1:
+        return at(0)
+    rank = (pct / 100.0) * (n - 1)
     lo = int(math.floor(rank))
     hi = int(math.ceil(rank))
-    if lo == hi or ordered[lo] == ordered[hi]:
+    lo_v, hi_v = at(lo), at(hi)
+    if lo == hi or lo_v == hi_v:
         # Exact rank, or equal bracketing values: no interpolation —
         # avoids float round-off breaking quantile monotonicity.
-        return ordered[lo]
-    lo_v, hi_v = ordered[lo], ordered[hi]
+        return lo_v
     # This form stays monotone in the fraction under float rounding;
     # min() keeps the rounded result inside the bracket.
     return min(hi_v, lo_v + (hi_v - lo_v) * (rank - lo))

@@ -17,9 +17,11 @@ paper's clients do.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import (Any, Dict, Generator, Iterable, List, Optional,
+                    Tuple)
 
 from repro.errors import AlreadyExists, MalacologyError
+from repro.mds.client import PositionTrace
 from repro.util.stats import ThroughputSeries
 
 
@@ -182,11 +184,12 @@ class LeaseContentionWorkload:
     def total_ops(self) -> int:
         return sum(self.ops_done)
 
-    def traces(self) -> List[List[Tuple[float, int]]]:
-        return [list(c.seq_trace) for c in self.clients]
+    def traces(self) -> List[PositionTrace]:
+        """Each client's own position trace (not a copy)."""
+        return [c.seq_trace for c in self.clients]
 
 
-def interleaving_runs(traces: List[List[Tuple[float, int]]]
+def interleaving_runs(traces: Iterable[Iterable[Tuple[float, int]]]
                       ) -> List[int]:
     """Lengths of consecutive-position runs per holder (Figure 5).
 

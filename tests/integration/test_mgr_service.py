@@ -157,6 +157,19 @@ def test_simulator_planes_are_scraped_like_daemons():
         == sample.dumps["network"]["counters"]["net.messages_sent"]
 
 
+def test_an_armed_empty_schedule_is_named():
+    """A schedule with no ops is armed all the same, and named."""
+    c = MalacologyCluster.build(osds=3, mdss=1, mons=3, seed=45,
+                                mgr=True)
+    NemesisEngine(c).arm(NemesisSchedule(name="empty"))
+    c.run(5.0)
+    chaos = c.health()["checks"]["CHAOS_NEMESIS_ACTIVE"]
+    assert chaos["detail"] == {"armed": True, "schedule": "empty",
+                               "ops": 0, "faults": 0}
+    assert chaos["summary"] == ("nemesis schedule 'empty' is armed: "
+                                "0 ops, 0 faults so far")
+
+
 # ----------------------------------------------------------------------
 # Mantle audit trail
 # ----------------------------------------------------------------------

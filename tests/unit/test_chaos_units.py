@@ -1,16 +1,17 @@
 """Unit tests: chaos building blocks that need no cluster.
 
 Nemesis schedule round-trips and validation, the ddmin minimizer
-against synthetic predicates, and the store fault plane (EIO, torn
+against synthetic predicates, the store fault plane (EIO, torn
 commits, bit-rot) consulted on a real store, as the OSD does right
-before each costed commit.
+before each costed commit, and the ZLog oracle over a stand-in log.
 """
 
 import random
 
 import pytest
 
-from repro.chaos import NemesisOp, NemesisSchedule, minimize_schedule
+from repro.chaos import (NemesisOp, NemesisSchedule, RunVerdict,
+                         ZlogOracle, minimize_schedule)
 from repro.errors import MalacologyError
 from repro.rados.objects import StoredObject
 from repro.store import MemStore, StoreFaultPlane
@@ -205,3 +206,45 @@ def test_mutable_mapping_plane_is_never_faulted():
     assert bytes(store["x"].data) == b"payload"
     assert plane.faults == []
     assert plane.rng.getstate() == state
+
+
+# ----------------------------------------------------------------------
+# ZLog oracle
+# ----------------------------------------------------------------------
+class _StandInLog:
+    """A log whose reads answer at once from a dict of entries."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def read(self, pos):
+        return self.entries[pos]
+        yield  # a generator, as ZLog.read is
+
+
+def _zlog_verdict(acks, entries):
+    oracle = ZlogOracle()
+    for pos, payload in acks:
+        oracle.acked(pos, payload)
+    oracle.log = _StandInLog(entries)
+    verdict = RunVerdict(scenario="unit", seed=0)
+    for _ in oracle.check(None, None, verdict):
+        pass
+    return verdict
+
+
+def test_zlog_oracle_passes_write_once_positions():
+    verdict = _zlog_verdict([(0, b"a"), (1, b"b")],
+                            {0: {"data": b"a"}, 1: {"data": b"b"}})
+    assert verdict.ok and verdict.violations == []
+
+
+def test_zlog_oracle_fails_a_position_acked_twice():
+    """Two acks on one position are a fencing breach even when the
+    readback agrees with the later payload."""
+    verdict = _zlog_verdict([(0, b"a"), (3, b"first"), (3, b"second")],
+                            {0: {"data": b"a"}, 3: {"data": b"second"}})
+    assert not verdict.ok
+    assert [v.to_dict() for v in verdict.violations] == [{
+        "oracle": "zlog-fencing",
+        "detail": "position 3 acked twice (b'first' then b'second')"}]

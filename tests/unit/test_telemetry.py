@@ -1,17 +1,21 @@
 """Unit tests for the telemetry layer: counters, tracing, admin cmds.
 
-Covers the PerfCounters registry in isolation, trace propagation
+Covers the PerfCounters registry in isolation (with a property test
+of run-length sample retention against a plain list), trace propagation
 through the daemon RPC machinery (including span nesting across
 generator-handler chains and cast vs request paths), the admin-command
 surface, and the crash-resets-counters rule.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import MalacologyError, NotFound
 from repro.msg import Daemon
 from repro.sim import FixedLatency, Network, Simulator, Timeout
 from repro.telemetry import PerfCounters, TraceCollector
+from repro.telemetry.counters import LatencyTracker
+from repro.util.stats import OnlineStats, percentile
 
 
 # ----------------------------------------------------------------------
@@ -50,6 +54,48 @@ def test_latency_tracker_stats_and_retention():
     assert perf.samples("other") == []
     with pytest.raises(ValueError):
         perf.latency("other").quantile(0.5)
+
+
+#: A few values that recur (so runs form, end and re-open, and
+#: quantile brackets are often equal) beside arbitrary durations.
+_latency = (st.sampled_from([0.0, 5e-05, 5.000000000000004e-05, 0.001,
+                             0.0125, 2.5])
+            | st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+_runs = st.lists(st.tuples(_latency, st.integers(1, 6)), max_size=40)
+
+
+def _list_to_dict(samples):
+    """``LatencyTracker.to_dict`` as computed over a plain sample list."""
+    stats = OnlineStats()
+    for s in samples:
+        stats.add(s)
+    out = {"count": stats.count, "sum": stats.mean * stats.count,
+           "mean": stats.mean,
+           "min": stats.min if stats.count else 0.0,
+           "max": stats.max if stats.count else 0.0}
+    if samples:
+        out["p50"] = percentile(samples, 50.0)
+        out["p99"] = percentile(samples, 99.0)
+    return out
+
+
+@given(_runs, st.floats(min_value=0.0, max_value=1.0))
+@example([], 0.5)
+@example([(5e-05, 1)], 0.5)
+@example([(0.001, 3), (5e-05, 2), (0.001, 1)], 0.99)
+@settings(max_examples=300, deadline=None)
+def test_run_length_retention_equals_a_sample_list(runs, q):
+    expanded = [value for value, n in runs for _ in range(n)]
+    tracker = LatencyTracker(retain=True)
+    for s in expanded:
+        tracker.observe(s)
+    got = tracker.samples()
+    assert got == expanded
+    assert repr(sum(got)) == repr(sum(expanded))
+    assert tracker.to_dict() == _list_to_dict(expanded)
+    for quantile in (0.0, 0.5, 0.99, 1.0, q):
+        want = percentile(expanded, 100 * quantile) if expanded else 0.0
+        assert tracker.quantile(quantile) == want
 
 
 def test_reset_clears_values_but_keeps_gauge_fns():
