@@ -13,7 +13,7 @@ ablation measures both for 2x/3x replication vs a k=2,m=1 EC profile
 from bench_util import emit, table
 
 from repro.core import MalacologyCluster
-from repro.util.stats import OnlineStats
+from repro.telemetry.counters import LatencyTracker
 
 OBJECT_BYTES = 16 * 1024
 OBJECTS = 40
@@ -26,14 +26,14 @@ def run_profile(pool_cfg, seed=161):
     cluster.run(2.0)
     admin = cluster.admin
     blob = b"d" * OBJECT_BYTES
-    write_lat, read_lat = OnlineStats(), OnlineStats()
+    write_lat, read_lat = LatencyTracker(), LatencyTracker()
     for i in range(OBJECTS):
         t0 = cluster.sim.now
         cluster.do(admin.rados_write_full("bench", f"obj-{i}", blob))
-        write_lat.add(cluster.sim.now - t0)
+        write_lat.observe(cluster.sim.now - t0)
         t0 = cluster.sim.now
         cluster.do(admin.rados_read("bench", f"obj-{i}"))
-        read_lat.add(cluster.sim.now - t0)
+        read_lat.observe(cluster.sim.now - t0)
     stored = 0
     for osd in cluster.osds:
         for pg in osd.pgs.values():

@@ -10,7 +10,7 @@ the append path.
 from bench_util import emit, table
 
 from repro.core import MalacologyCluster
-from repro.util.stats import OnlineStats
+from repro.telemetry.counters import LatencyTracker
 from repro.zlog import StripeLayout, ZLog
 
 APPENDS = 150
@@ -27,7 +27,7 @@ def run_one(size, seed=151):
     # Warm the sequencer cap so we measure the storage path, not the
     # first-acquire cost.
     cluster.do(log.append("warmup"))
-    stats = OnlineStats()
+    stats = LatencyTracker()
     for i in range(APPENDS):
         started = cluster.sim.now
 
@@ -35,7 +35,7 @@ def run_one(size, seed=151):
             yield from log.append(payload)
 
         cluster.do(one_append())
-        stats.add(cluster.sim.now - started)
+        stats.observe(cluster.sim.now - started)
     return stats
 
 

@@ -65,6 +65,9 @@ class FsClient(MonitorClient):
     #: Cost of serving one sequencer op from the locally cached
     #: capability (a memory increment plus client bookkeeping).
     LOCAL_OP_COST = 50e-6
+    #: The sleep every cached op yields: one shared, never-edited
+    #: ``Timeout``, so a cached op allocates none.
+    LOCAL_OP = Timeout(LOCAL_OP_COST)
 
     def init_fs_client(self: Any) -> None:
         #: path -> live capability record.
@@ -221,14 +224,18 @@ class FsClient(MonitorClient):
         while True:
             cap = self._caps.get(path)
             if cap is not None:
-                yield Timeout(self.LOCAL_OP_COST)
+                yield self.LOCAL_OP
                 # The release may have raced in during the yield.
                 if self._caps.get(path) is not cap:
                     continue
                 pos = cap["embedded"]["tail"]
                 cap["embedded"]["tail"] = pos + 1
                 cap["ops"] += 1
-                self._maybe_voluntary_release(path, cap)
+                if (cap["revoke_pending"]
+                        and cap["policy"]["mode"] == QUOTA
+                        and cap["ops"] >= cap["policy"]["quota"]):
+                    # A revoked quota cap goes once its quota is spent.
+                    self._release_if_held(path, cap["seq"])
                 break
             if self._round_trip_valid(path):
                 pos = yield from self.fs_exec(path, "next")
@@ -262,7 +269,7 @@ class FsClient(MonitorClient):
     def seq_read(self: Any, path: str) -> Generator:
         cap = self._caps.get(path)
         if cap is not None:
-            yield Timeout(self.LOCAL_OP_COST)
+            yield self.LOCAL_OP
             return cap["embedded"]["tail"]
         value = yield from self.fs_exec(path, "read")
         return value
@@ -314,14 +321,6 @@ class FsClient(MonitorClient):
             deadline = now
         self.sim.schedule(max(0.0, deadline - now),
                           self._release_if_held, path, cap["seq"])
-
-    def _maybe_voluntary_release(self: Any, path: str,
-                                 cap: Dict[str, Any]) -> None:
-        if not cap["revoke_pending"]:
-            return
-        if (cap["policy"]["mode"] == QUOTA
-                and cap["ops"] >= cap["policy"]["quota"]):
-            self._release_if_held(path, cap["seq"])
 
     def _release_if_held(self: Any, path: str, seq: int) -> None:
         cap = self._caps.get(path)

@@ -71,7 +71,7 @@ class Process:
 
     def _step(self, send_value: Any = None,
               send_error: Optional[BaseException] = None) -> None:
-        if self._cancelled or self.completion.done:
+        if self._cancelled or self.completion._done:
             return
         try:
             if send_error is not None:
@@ -91,13 +91,12 @@ class Process:
             self.completion.fail(exc)
             self.sim._note_process_failure(self, exc)
             return
-        self._wait_on(yielded)
-
-    def _wait_on(self, yielded: Any) -> None:
-        if yielded is None:
-            self.sim.schedule(0.0, self._step)
-        elif isinstance(yielded, Timeout):
+        # Wait on what was yielded, commonest kind first (``Timeout``
+        # is never subclassed, so an exact type test suffices).
+        if type(yielded) is Timeout:
             self.sim.schedule(yielded.delay, self._step)
+        elif yielded is None:
+            self.sim.schedule(0.0, self._step)
         elif isinstance(yielded, Future):
             yielded.add_callback(self._resume_from_future)
         elif isinstance(yielded, Process):
@@ -109,11 +108,11 @@ class Process:
     def _resume_from_future(self, fut: Future) -> None:
         # Resume on the event queue (not inline) to keep causality:
         # a resolve() at time t wakes waiters at time t but after the
-        # resolver finishes its own step.
-        if fut.failed:
-            self.sim.schedule(0.0, self._step, None, fut.error)
+        # resolver finishes its own step.  ``fut`` is settled here.
+        if fut._error is not None:
+            self.sim.schedule(0.0, self._step, None, fut._error)
         else:
-            self.sim.schedule(0.0, self._step, fut.result())
+            self.sim.schedule(0.0, self._step, fut._value)
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
@@ -136,7 +135,9 @@ class Simulator:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._now = 0.0
+        #: Current simulated time in seconds.  Only the kernel writes
+        #: it: the dispatch step, and ``run(until=...)``'s padding.
+        self.now = 0.0
         self._queue: list = []
         self._seq: Iterator[int] = iter(range(2**62))
         self._rngs: Dict[str, random.Random] = {}
@@ -168,13 +169,8 @@ class Simulator:
             install_sanitizers(self)
 
     # ------------------------------------------------------------------
-    # Clock and randomness
+    # Randomness
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def rng(self, stream: str) -> random.Random:
         """A deterministic RNG for the named stream.
 
@@ -197,7 +193,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: {delay}")
         call = _ScheduledCall(fn, args)
-        heapq.heappush(self._queue, (self._now + delay, next(self._seq), call))
+        heapq.heappush(self._queue, (self.now + delay, next(self._seq), call))
         return call
 
     def spawn(self, body: ProcessBody, name: str = "") -> Process:
@@ -231,11 +227,11 @@ class Simulator:
             if until is not None and queue[0][0] > until:
                 break
             self._dispatch_next()
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         if self._failures:
             self._raise_pending_failures()
-        return self._now
+        return self.now
 
     def run_until_complete(self, proc_or_future: Any,
                            limit: float = 1e9) -> Any:
@@ -256,7 +252,7 @@ class Simulator:
                 raise RuntimeError(
                     f"event queue drained but {fut!r} never settled "
                     "(deadlock)")
-            if self._now > limit:
+            if self.now > limit:
                 raise RuntimeError(f"exceeded simulated time limit {limit}")
             self._dispatch_next()
         return fut.result()
@@ -275,7 +271,7 @@ class Simulator:
             if profiler is not None:
                 profiler.on_cancelled()
             return
-        self._now = when
+        self.now = when
         if profiler is not None:
             profiler.on_event(when, len(self._queue))
         wall = self.wall_profiler

@@ -26,17 +26,19 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
-from repro.util.stats import OnlineStats, ranked_percentile
+from repro.util.stats import ranked_percentile
 
 
 class LatencyTracker:
     """Duration distribution for one operation name.
 
-    Always keeps single-pass summary statistics; with ``retain=True``
-    it also keeps every sample so exact quantiles (and external CDF
-    construction) are possible.  Retention is reserved for the few
-    client-side paths benchmarks read (``seq.next``, ``zlog.append``);
-    dispatch-level RPC latencies stay summary-only to bound memory.
+    Always keeps a single-pass summary in its own slots: ``count``, a
+    Welford ``mean``, ``min`` and ``max`` (no variance: nothing reads
+    one).  With ``retain=True`` it also keeps every sample so exact
+    quantiles (and external CDF construction) are possible.  Retention
+    is reserved for the few client-side paths benchmarks read
+    (``seq.next``, ``zlog.append``); dispatch-level RPC latencies stay
+    summary-only to bound memory.
 
     Retained samples are kept as in-order runs of equal values: two
     flat columns of closed runs plus the open run in two slots.  A
@@ -46,11 +48,14 @@ class LatencyTracker:
     list of floats took.
     """
 
-    __slots__ = ("stats", "retain", "_values", "_counts", "_run_value",
-                 "_run_len")
+    __slots__ = ("count", "mean", "min", "max", "retain", "_values",
+                 "_counts", "_run_value", "_run_len")
 
     def __init__(self, retain: bool = False):
-        self.stats = OnlineStats()
+        self.count = 0
+        self.mean = 0.0
+        self.min = math.inf
+        self.max = -math.inf
         self.retain = retain
         self._values = array("d")
         self._counts = array("q")
@@ -60,15 +65,16 @@ class LatencyTracker:
         self._run_len = 0
 
     @property
-    def count(self) -> int:
-        return self.stats.count
-
-    @property
     def sum(self) -> float:
-        return self.stats.mean * self.stats.count
+        return self.mean * self.count
 
     def observe(self, duration: float) -> None:
-        self.stats.add(duration)
+        self.count += 1
+        self.mean += (duration - self.mean) / self.count
+        if duration < self.min:
+            self.min = duration
+        if duration > self.max:
+            self.max = duration
         if self.retain:
             if duration == self._run_value:
                 self._run_len += 1
@@ -124,11 +130,11 @@ class LatencyTracker:
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
-            "count": self.stats.count,
+            "count": self.count,
             "sum": self.sum,
-            "mean": self.stats.mean,
-            "min": self.stats.min if self.stats.count else 0.0,
-            "max": self.stats.max if self.stats.count else 0.0,
+            "mean": self.mean,
+            "min": self.min if self.count else 0.0,
+            "max": self.max if self.count else 0.0,
         }
         if self.retain and self._run_len:
             out["p50"], out["p99"] = self._quantiles(0.50, 0.99)

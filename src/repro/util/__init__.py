@@ -2,14 +2,12 @@
 
 from repro.util.stats import (
     Cdf,
-    OnlineStats,
     ThroughputSeries,
     percentile,
 )
 
 __all__ = [
     "Cdf",
-    "OnlineStats",
     "ThroughputSeries",
     "percentile",
 ]

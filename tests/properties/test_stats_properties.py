@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.mds.metrics import DecayCounter
 from repro.telemetry.counters import LatencyTracker
-from repro.util.stats import Cdf, OnlineStats, ThroughputSeries, percentile
+from repro.util.stats import Cdf, ThroughputSeries, percentile
 from repro.workloads import interleaving_runs
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
@@ -39,15 +39,14 @@ def test_cdf_quantile_is_monotone_and_inverts(samples):
 
 @given(st.lists(floats, min_size=2, max_size=200))
 @settings(max_examples=200, deadline=None)
-def test_online_stats_matches_batch_computation(samples):
-    stats = OnlineStats()
+def test_latency_tracker_matches_batch_computation(samples):
+    tracker = LatencyTracker()
     for x in samples:
-        stats.add(x)
+        tracker.observe(x)
     mean = sum(samples) / len(samples)
-    var = sum((x - mean) ** 2 for x in samples) / (len(samples) - 1)
-    assert math.isclose(stats.mean, mean, rel_tol=1e-9, abs_tol=1e-6)
-    assert math.isclose(stats.variance, var, rel_tol=1e-6, abs_tol=1e-6)
-    assert stats.min == min(samples) and stats.max == max(samples)
+    assert tracker.count == len(samples)
+    assert math.isclose(tracker.mean, mean, rel_tol=1e-9, abs_tol=1e-6)
+    assert tracker.min == min(samples) and tracker.max == max(samples)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=100,

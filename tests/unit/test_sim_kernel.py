@@ -252,3 +252,79 @@ def test_gather_of_nothing_resolves_immediately():
 
     out = gather([])
     assert out.done and out.result() == []
+
+
+def test_dispatch_order_of_every_yield_kind_is_pinned():
+    """One fixed program mixing every yield the kernel accepts.
+
+    ``Timeout``, ``None``, a ``Future`` settled by a bare ``schedule``
+    (resolved and failed), an already-settled ``Future``, a running and
+    a finished ``Process``, with several same-instant ties.  The exact
+    ``(now, label)`` sequence pins the kernel's dispatch order, so a
+    faster process step cannot reorder a single wake.
+    """
+    sim = Simulator()
+    seen = []
+    fut, bad, ready = Future("fut"), Future("bad"), Future("ready")
+    ready.resolve("r")
+
+    def note(label):
+        seen.append((sim.now, label))
+
+    def sleeper():
+        note("sleeper:start")
+        yield Timeout(1.0)
+        note("sleeper:t1")
+        yield None
+        note("sleeper:none")
+        value = yield fut
+        note(f"sleeper:fut={value}")
+        try:
+            yield bad
+        except RuntimeError as exc:
+            note(f"sleeper:bad={exc}")
+        value = yield ready
+        note(f"sleeper:ready={value}")
+        yield Timeout(0.0)
+        note("sleeper:t0")
+        return "slept"
+
+    def child():
+        note("child:start")
+        yield Timeout(1.0)
+        note("child:t1")
+        yield None
+        note("child:none")
+        return "kid"
+
+    def parent():
+        note("parent:start")
+        value = yield sim.spawn(child())
+        note(f"parent:child={value}")
+        yield None
+        note("parent:none")
+        value = yield sleeper_proc
+        note(f"parent:sleeper={value}")
+        value = yield sleeper_proc  # already finished
+        note(f"parent:again={value}")
+
+    def resolve():
+        note("resolver")
+        fut.resolve("v")
+
+    sleeper_proc = sim.spawn(sleeper())
+    sim.spawn(parent())
+    sim.schedule(1.0, resolve)
+    sim.schedule(1.0, bad.fail, RuntimeError("boom"))
+    sim.schedule(0.0, note, "bare")
+    sim.run()
+    assert seen == [
+        (0.0, "sleeper:start"), (0.0, "parent:start"), (0.0, "bare"),
+        (0.0, "child:start"),
+        (1.0, "resolver"), (1.0, "sleeper:t1"), (1.0, "child:t1"),
+        (1.0, "sleeper:none"), (1.0, "child:none"),
+        (1.0, "sleeper:fut=v"), (1.0, "parent:child=kid"),
+        (1.0, "sleeper:bad=boom"), (1.0, "parent:none"),
+        (1.0, "sleeper:ready=r"), (1.0, "sleeper:t0"),
+        (1.0, "parent:sleeper=slept"), (1.0, "parent:again=slept"),
+    ]

@@ -15,7 +15,7 @@ from repro.msg import Daemon
 from repro.sim import FixedLatency, Network, Simulator, Timeout
 from repro.telemetry import PerfCounters, TraceCollector
 from repro.telemetry.counters import LatencyTracker
-from repro.util.stats import OnlineStats, percentile
+from repro.util.stats import percentile
 
 
 # ----------------------------------------------------------------------
@@ -46,7 +46,8 @@ def test_latency_tracker_stats_and_retention():
         perf.time("op", v, retain=True)
     tracker = perf.latency("op")
     assert tracker.count == 3
-    assert tracker.stats.mean == pytest.approx(0.002)
+    assert tracker.mean == pytest.approx(0.002)
+    assert tracker.to_dict()["mean"] == tracker.mean
     assert perf.samples("op") == [0.001, 0.002, 0.003]
     assert tracker.quantile(0.5) == pytest.approx(0.002)
     # Non-retaining trackers keep stats but no samples.
@@ -65,14 +66,18 @@ _runs = st.lists(st.tuples(_latency, st.integers(1, 6)), max_size=40)
 
 
 def _list_to_dict(samples):
-    """``LatencyTracker.to_dict`` as computed over a plain sample list."""
-    stats = OnlineStats()
+    """``LatencyTracker.to_dict`` as computed over a plain sample list.
+
+    An explicit Welford loop, so ``mean`` and ``sum`` are checked bit
+    for bit against the tracker's running summary.
+    """
+    count, mean = 0, 0.0
     for s in samples:
-        stats.add(s)
-    out = {"count": stats.count, "sum": stats.mean * stats.count,
-           "mean": stats.mean,
-           "min": stats.min if stats.count else 0.0,
-           "max": stats.max if stats.count else 0.0}
+        count += 1
+        mean += (s - mean) / count
+    out = {"count": count, "sum": mean * count, "mean": mean,
+           "min": min(samples) if samples else 0.0,
+           "max": max(samples) if samples else 0.0}
     if samples:
         out["p50"] = percentile(samples, 50.0)
         out["p99"] = percentile(samples, 99.0)
