@@ -16,7 +16,7 @@ itself around.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidArgument, NotFound
 
@@ -76,7 +76,15 @@ class OSDMap(ClusterMap):
       authoritative version so OSDs know when to (re)load (paper
       sections 4.2 and 4.4).  Embedding only a reference keeps maps
       small, per the guidance that monitor values stay compact.
+
+    Placement is a pure function of a published map, so the map keeps
+    what was computed from it (Ceph's ``OSDMapMapping``): ``up_osds()``
+    and each ``acting_set`` answer, filled on first ask.  The memo is
+    derived data, not content: it lives in slots, outside ``vars()``,
+    so ``==``, pickle and ``copy.deepcopy`` never see it.
     """
+
+    __slots__ = ("_up", "acting_memo")
 
     def __init__(self, epoch: int = 0,
                  osds: Optional[Dict[str, str]] = None,
@@ -87,10 +95,27 @@ class OSDMap(ClusterMap):
         self.osds: Dict[str, str] = dict(osds or {})
         self.pools: Dict[str, Dict[str, Any]] = dict(pools or {})
         self.interfaces: Dict[str, Dict[str, Any]] = dict(interfaces or {})
+        self._forget_placement()
+
+    def _forget_placement(self) -> None:
+        self._up: Optional[Tuple[str, ...]] = None
+        #: (pool, pgid) -> acting set; see ``rados.placement``.
+        self.acting_memo: Dict[Tuple[str, int], Tuple[str, ...]] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return vars(self)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        vars(self).update(state)
+        self._forget_placement()
 
     # -- membership ----------------------------------------------------
-    def up_osds(self) -> List[str]:
-        return sorted(n for n, st in self.osds.items() if st == "up")
+    def up_osds(self) -> Tuple[str, ...]:
+        up = self._up
+        if up is None:
+            up = self._up = tuple(
+                sorted(n for n, st in self.osds.items() if st == "up"))
+        return up
 
     def all_osds(self) -> List[str]:
         return sorted(self.osds)

@@ -66,6 +66,9 @@ class Daemon:
         self.alive = True
         self._handlers: Dict[str, Callable[[str, Any], Any]] = {}
         self._pending: Dict[int, Future] = {}
+        #: msg_id -> the kernel deadline of a ``call`` with a timeout;
+        #: the response, the expiry or a crash retires it.
+        self._deadlines: Dict[int, Any] = {}
         self._next_id = 0
         self._procs: List[Process] = []
         #: Gray-failure switch: while True, ``every`` tickers keep
@@ -147,7 +150,8 @@ class Daemon:
                             method=method, msg_id=msg_id, payload=payload,
                             trace=self._trace_wire()))
         if timeout is not None:
-            self.sim.schedule(timeout, self._expire, msg_id)
+            self._deadlines[msg_id] = self.sim.deadline(
+                timeout, self._expire, msg_id)
         return fut
 
     def cast(self, dst: str, method: str, payload: Any = None) -> None:
@@ -187,6 +191,7 @@ class Daemon:
         """Hook: subclasses piggyback map epochs on outgoing messages."""
 
     def _expire(self, msg_id: int) -> None:
+        del self._deadlines[msg_id]
         fut = self._pending.pop(msg_id, None)
         if fut is not None:
             fut.fail_if_pending(
@@ -216,6 +221,9 @@ class Daemon:
         fut = self._pending.pop(env.msg_id, None)
         if fut is None:
             return  # late reply after timeout; drop
+        deadline = self._deadlines.pop(env.msg_id, None)
+        if deadline is not None:
+            deadline.cancel()
         if env.error is not None:
             code, message = env.error
             fut.fail_if_pending(error_from_code(code, message))
@@ -419,6 +427,9 @@ class Daemon:
         for fut in self._pending.values():
             fut.fail_if_pending(DaemonDown(f"{self.name} crashed"))
         self._pending.clear()
+        for deadline in self._deadlines.values():
+            deadline.cancel()
+        self._deadlines.clear()
         self.on_crash()
 
     def restart(self) -> None:

@@ -81,7 +81,7 @@ class SimProfiler:
             "events_dispatched": self.events_dispatched,
             "events_cancelled": self.events_cancelled,
             "event_rate_sim": self.event_rate_sim(),
-            "queue_depth": len(self.sim._queue),
+            "queue_depth": self.sim.pending(),
             "queue_hwm": self.queue_hwm,
             "ready_hwm": self.ready_hwm,
         }

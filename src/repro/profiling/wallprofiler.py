@@ -11,7 +11,9 @@ callback invocation), keyed by what the callback is:
   generator trampoline, including every resumed generator handler;
 * a network delivery, by ``<dst>:<method>`` — the receiving daemon's
   dispatch plus its handler's synchronous part, which runs inline;
-* a timer or future callback, by qualified name.
+* a timer or future callback, by qualified name; a deadline by the
+  callback its lane fired (e.g. ``Daemon._expire``), and a lane wake
+  whose deadline was cancelled as ``cancelled deadline``.
 
 The kernel's dispatch step is the plane's only call site, so no key
 nests inside another and every key's share is of the same total.
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.profiling.hostclock import host_alloc_blocks, host_perf_ns
+from repro.sim.kernel import DeadlineLane
 
 #: A begin() token: (wall ns, allocated blocks) at entry.
 Token = Tuple[int, int]
@@ -77,6 +80,10 @@ class WallClockProfiler:
                  host_alloc_blocks() - token[1])
 
     def _dispatch_key(self, call: Any) -> Tuple[str, str, str]:
+        if type(call) is DeadlineLane:
+            call = call.fired
+            if call is None:
+                return ("dispatch", "callback", "cancelled deadline")
         fn = call.fn
         bound_to = getattr(fn, "__self__", None)
         fn_name = getattr(fn, "__name__", "callback")

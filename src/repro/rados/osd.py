@@ -20,7 +20,7 @@ Implements RADOS's division of labor (paper sections 2 and 4.4):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     DaemonDown,
@@ -177,14 +177,15 @@ class OSD(Daemon, MonitorClient):
         return self.cached_maps.get("osd")
 
     def stamp_epochs(self, env: Envelope) -> None:
-        if self.osdmap is not None:
-            env.epochs["osd"] = self.osdmap.epoch
+        m = self.osdmap
+        if m is not None:
+            env.epochs["osd"] = m.epoch
 
     def observe_epochs(self, env: Envelope) -> None:
         peer_epoch = env.epochs.get("osd")
-        if (peer_epoch is not None and self.osdmap is not None
-                and peer_epoch > self.osdmap.epoch
-                and env.src in self.osdmap.all_osds()):
+        m = self.osdmap
+        if (peer_epoch is not None and m is not None
+                and peer_epoch > m.epoch and env.src in m.osds):
             # Pull the newer map from the peer that advertised it.
             self.spawn(self._pull_map(env.src),
                        name=f"{self.name}:pullmap")
@@ -419,7 +420,7 @@ class OSD(Daemon, MonitorClient):
     # Client I/O path
     # ------------------------------------------------------------------
     def _primary_for(self, pool: str,
-                     oid: str) -> Tuple[OSDMap, int, List[str]]:
+                     oid: str) -> Tuple[OSDMap, int, Tuple[str, ...]]:
         """``(map, pgid, acting)`` if this OSD is the object's primary.
 
         Raises ``DaemonDown`` while booting (the client retries) and
@@ -494,7 +495,7 @@ class OSD(Daemon, MonitorClient):
         return results
 
     def _replicate(self, pool: str, pgid: int, oid: str,
-                   replicas: List[str], new_obj: Optional[StoredObject],
+                   replicas: Sequence[str], new_obj: Optional[StoredObject],
                    removed: bool) -> Generator:
         if not replicas:
             return
@@ -652,7 +653,7 @@ class OSD(Daemon, MonitorClient):
                                 "read", "stat", "remove"})
 
     def _ec_op(self, pool: str, pgid: int, oid: str,
-               ops: List[Dict[str, Any]], acting: List[str],
+               ops: List[Dict[str, Any]], acting: Sequence[str],
                profile: Dict[str, int]) -> Generator:
         for op in ops:
             if op.get("op") not in self.EC_ALLOWED_OPS:
@@ -708,7 +709,7 @@ class OSD(Daemon, MonitorClient):
         pg[oid] = new_manifest
         return results
 
-    def _ec_gather(self, pool: str, oid: str, codec, acting: List[str],
+    def _ec_gather(self, pool: str, oid: str, codec, acting: Sequence[str],
                    manifest: StoredObject) -> Generator:
         """Collect any k shards (tolerating m losses) and reconstruct."""
         length = manifest.xattrs.get("ec.size", 0)
@@ -851,7 +852,7 @@ class OSD(Daemon, MonitorClient):
         return self._scrub_pg(pool, pgid, acting[1:])
 
     def _scrub_pg(self, pool: str, pgid: int,
-                  replicas: List[str]) -> Generator:
+                  replicas: Sequence[str]) -> Generator:
         self.perf.incr("scrub.run")
         mine = {oid: obj.digest()
                 for oid, obj in self.pgs.get((pool, pgid), {}).items()}

@@ -8,12 +8,15 @@ Objects hash into *placement groups* (PGs); each PG maps onto an
 ordered *acting set* of OSDs via Highest-Random-Weight (rendezvous)
 hashing, which gives CRUSH's key property: when membership changes,
 only the PGs touching the changed OSD move.
+
+A published map never changes, so each acting set is ranked once per
+map and kept in the map's placement memo (``OSDMap.acting_memo``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.errors import InvalidArgument
 from repro.monitor.maps import OSDMap
@@ -32,7 +35,7 @@ def pg_of(oid: str, pg_num: int) -> int:
     return stable_hash(oid) % pg_num
 
 
-def acting_set(osdmap: OSDMap, pool: str, pgid: int) -> List[str]:
+def acting_set(osdmap: OSDMap, pool: str, pgid: int) -> Tuple[str, ...]:
     """Ordered acting set for one PG: primary first, then replicas.
 
     Rendezvous hashing over the *up* OSDs: each OSD scores
@@ -40,18 +43,21 @@ def acting_set(osdmap: OSDMap, pool: str, pgid: int) -> List[str]:
     simply drop out of the ranking, promoting the next-best — the same
     "acting set" adjustment Ceph makes during failure.
     """
-    cfg = osdmap.pool(pool)
-    size = cfg["size"]
-    candidates = osdmap.up_osds()
-    scored = sorted(
-        candidates,
-        key=lambda osd: stable_hash(f"{pool}/{pgid}/{osd}"),
-        reverse=True,
-    )
-    return scored[:size]
+    memo = osdmap.acting_memo
+    acting = memo.get((pool, pgid))
+    if acting is None:
+        scored = sorted(
+            osdmap.up_osds(),
+            key=lambda osd: stable_hash(f"{pool}/{pgid}/{osd}"),
+            reverse=True,
+        )
+        acting = memo[(pool, pgid)] = tuple(
+            scored[:osdmap.pool(pool)["size"]])
+    return acting
 
 
-def locate(osdmap: OSDMap, pool: str, oid: str) -> Tuple[int, List[str]]:
+def locate(osdmap: OSDMap, pool: str,
+           oid: str) -> Tuple[int, Tuple[str, ...]]:
     """(pgid, acting set) for an object."""
     pgid = pg_of(oid, osdmap.pool(pool)["pg_num"])
     return pgid, acting_set(osdmap, pool, pgid)

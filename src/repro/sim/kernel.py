@@ -2,11 +2,25 @@
 
 Determinism contract
 --------------------
-Given the same seed and the same sequence of ``spawn``/``schedule``
-calls, a simulation replays identically: the event queue breaks time
-ties by insertion order, and all randomness flows through named RNG
-streams derived from the seed (:meth:`Simulator.rng`).  Nothing in the
-kernel consults wall-clock time.
+Given the same seed and the same sequence of ``spawn``/``schedule``/
+``deadline`` calls, a simulation replays identically: every call runs
+in ``(time, insertion order)`` order, and all randomness flows through
+named RNG streams derived from the seed (:meth:`Simulator.rng`).
+Nothing in the kernel consults wall-clock time.
+
+Three structures hold the pending calls, and none changes that order:
+
+* the **heap** holds calls due later, keyed ``(time, seq)``;
+* the **ready FIFO** holds calls due at ``now`` (routed by
+  ``now + delay == now``, so a positive delay that rounds away joins
+  it too).  Every heap entry due at ``now`` was pushed before the
+  clock reached ``now``, so it runs before the FIFO, and the FIFO runs
+  in insertion order;
+* one **deadline lane** per delay value holds that delay's deadlines
+  in FIFO order, each with the ``(time, seq)`` key ``schedule`` would
+  have given it.  Only the lane's head sits in the heap, so a live
+  deadline fires at exactly its heap position, ties included; a
+  cancelled one leaves the lane without ever reaching the heap.
 """
 
 from __future__ import annotations
@@ -15,6 +29,7 @@ import hashlib
 import heapq
 import os
 import random
+from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterator, Optional
 
 from repro.sim.event import Future, Timeout
@@ -35,6 +50,81 @@ class _ScheduledCall:
 
     def cancel(self) -> None:
         self.cancelled = True
+
+
+class _Deadline(_ScheduledCall):
+    """A cancellable callback waiting in a :class:`DeadlineLane`."""
+
+    __slots__ = ("when", "seq", "lane")
+
+    def __init__(self, fn: Callable[..., None], args: tuple, when: float,
+                 seq: int, lane: "DeadlineLane"):
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+        self.when = when
+        self.seq = seq
+        self.lane = lane
+
+    def cancel(self) -> None:
+        self.cancelled = True
+        self.lane.trim()
+
+
+class DeadlineLane:
+    """The FIFO of pending deadlines that share one delay.
+
+    Deadlines join in ``(time, seq)`` order, because the clock never
+    runs backwards, so the lane needs only its head in the heap: the
+    lane itself sits there as the call, under the key of the head it
+    was armed with.  A cancelled head leaves at once (``trim``); the
+    heap entry it was armed with then fires into nothing and re-arms
+    the lane with its new head.
+    """
+
+    __slots__ = ("sim", "entries", "armed_seq", "fn", "fired")
+
+    #: The heap's view of the lane as a call: never cancelled, no args.
+    cancelled = False
+    args: tuple = ()
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+        self.entries: deque = deque()
+        #: seq of the head this lane was armed with (None: not in heap).
+        self.armed_seq: Optional[int] = None
+        self.fn = self._fire
+        #: The deadline the last firing ran (None: it fired into
+        #: nothing), for the wall profiler's attribution.
+        self.fired: Optional[_Deadline] = None
+
+    def add(self, dl: _Deadline) -> None:
+        self.entries.append(dl)
+        if self.armed_seq is None:
+            self._arm(dl)
+
+    def trim(self) -> None:
+        entries = self.entries
+        while entries and entries[0].cancelled:
+            entries.popleft()
+
+    def _arm(self, head: _Deadline) -> None:
+        self.armed_seq = head.seq
+        heapq.heappush(self.sim._queue, (head.when, head.seq, self))
+
+    def _fire(self) -> None:
+        entries = self.entries
+        head = None
+        if entries and entries[0].seq == self.armed_seq:
+            head = entries.popleft()
+            self.trim()
+        if entries:
+            self._arm(entries[0])
+        else:
+            self.armed_seq = None
+        self.fired = head
+        if head is not None:
+            head.fn(*head.args)
 
 
 class Process:
@@ -96,7 +186,7 @@ class Process:
         if type(yielded) is Timeout:
             self.sim.schedule(yielded.delay, self._step)
         elif yielded is None:
-            self.sim.schedule(0.0, self._step)
+            self.sim._ready.append(_ScheduledCall(self._step, ()))
         elif isinstance(yielded, Future):
             yielded.add_callback(self._resume_from_future)
         elif isinstance(yielded, Process):
@@ -110,9 +200,10 @@ class Process:
         # a resolve() at time t wakes waiters at time t but after the
         # resolver finishes its own step.  ``fut`` is settled here.
         if fut._error is not None:
-            self.sim.schedule(0.0, self._step, None, fut._error)
+            self.sim._ready.append(
+                _ScheduledCall(self._step, (None, fut._error)))
         else:
-            self.sim.schedule(0.0, self._step, fut._value)
+            self.sim._ready.append(_ScheduledCall(self._step, (fut._value,)))
 
     def __repr__(self) -> str:
         state = "done" if self.done else "running"
@@ -138,7 +229,12 @@ class Simulator:
         #: Current simulated time in seconds.  Only the kernel writes
         #: it: the dispatch step, and ``run(until=...)``'s padding.
         self.now = 0.0
+        #: Calls due later: a heap of ``(time, seq, call)``.
         self._queue: list = []
+        #: Calls due at ``now``, in insertion order.
+        self._ready: deque = deque()
+        #: delay -> the lane of pending deadlines with that delay.
+        self._lanes: Dict[float, DeadlineLane] = {}
         self._seq: Iterator[int] = iter(range(2**62))
         self._rngs: Dict[str, random.Random] = {}
         self._failures: list = []
@@ -193,14 +289,47 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: {delay}")
         call = _ScheduledCall(fn, args)
-        heapq.heappush(self._queue, (self.now + delay, next(self._seq), call))
+        when = self.now + delay
+        if when == self.now:
+            self._ready.append(call)
+        else:
+            heapq.heappush(self._queue, (when, next(self._seq), call))
         return call
+
+    def deadline(self, delay: float, fn: Callable[..., None],
+                 *args: Any) -> _ScheduledCall:
+        """Like :meth:`schedule`, for a deadline that is mostly cancelled.
+
+        The call waits in its delay's :class:`DeadlineLane` instead of
+        the heap, so cancelling it (``handle.cancel()``) frees it as
+        soon as it reaches the lane's front, and the heap stays as
+        small as the number of delays in use.
+        """
+        when = self.now + delay
+        if when <= self.now:
+            return self.schedule(delay, fn, *args)
+        lane = self._lanes.get(delay)
+        if lane is None:
+            lane = self._lanes[delay] = DeadlineLane(self)
+        dl = _Deadline(fn, args, when, next(self._seq), lane)
+        lane.add(dl)
+        return dl
 
     def spawn(self, body: ProcessBody, name: str = "") -> Process:
         """Start a generator as a process; begins at the current time."""
         proc = Process(self, body, name=name)
-        self.schedule(0.0, proc._step)
+        self._ready.append(_ScheduledCall(proc._step, ()))
         return proc
+
+    def pending(self) -> int:
+        """Calls waiting to run: heap, ready FIFO and deadline lanes.
+
+        A cancelled call counts until the kernel drops it.
+        """
+        armed = sum(1 for lane in self._lanes.values()
+                    if lane.armed_seq is not None)
+        return (len(self._queue) - armed + len(self._ready)
+                + sum(len(lane.entries) for lane in self._lanes.values()))
 
     def timeout_future(self, fut: Future, delay: float,
                        error: BaseException) -> None:
@@ -222,9 +351,12 @@ class Simulator:
         earlier, so back-to-back ``run`` calls compose predictably.
         """
         self._stopped = False
-        queue = self._queue
-        while queue and not self._stopped:
-            if until is not None and queue[0][0] > until:
+        queue, ready = self._queue, self._ready
+        while not self._stopped:
+            if ready:
+                if until is not None and self.now > until:
+                    break
+            elif not queue or (until is not None and queue[0][0] > until):
                 break
             self._dispatch_next()
         if until is not None and self.now < until:
@@ -248,7 +380,8 @@ class Simulator:
             raise TypeError("expected a Process or Future")
         fut.had_waiters = True  # we are the waiter; errors reach us
         while not fut.done:
-            if not self._queue:
+            # A lane with pending deadlines always has a heap entry.
+            if not self._queue and not self._ready:
                 raise RuntimeError(
                     f"event queue drained but {fut!r} never settled "
                     "(deadlock)")
@@ -265,7 +398,12 @@ class Simulator:
         ``wall_profiler`` brackets the callback.  Orphaned process
         failures surface right after the event that caused them.
         """
-        when, _, call = heapq.heappop(self._queue)
+        queue, ready = self._queue, self._ready
+        if ready and not (queue and queue[0][0] == self.now):
+            call = ready.popleft()
+            when = self.now
+        else:
+            when, _, call = heapq.heappop(queue)
         profiler = self.profiler
         if call.cancelled:
             if profiler is not None:
@@ -273,7 +411,7 @@ class Simulator:
             return
         self.now = when
         if profiler is not None:
-            profiler.on_event(when, len(self._queue))
+            profiler.on_event(when, self.pending())
         wall = self.wall_profiler
         if wall is None:
             call.fn(*call.args)

@@ -1,17 +1,36 @@
-"""A cached sequencer op costs a fixed, small number of Python calls.
+"""Hot paths cost a fixed number of Python calls per op.
 
 Fig. 6's quota lease serves most sequencer positions from a cached
 capability, so a benchmark run's host time is the kernel's process
 step, the client's cached branch and its latency tracker, once per
-op.  Wall time is too noisy to gate; the number of Python ``call``
-events per op under ``sys.setprofile`` is exact and seed-stable, so it
-is gated exact-or-better: lower the bound when the path gets cheaper.
+op.  A replicated RADOS read or write crosses the client, the
+messenger, the kernel, placement and the primary's replication.  Wall
+time is too noisy to gate; the number of Python ``call`` events per op
+under ``sys.setprofile`` is exact and seed-stable, so it is gated
+exact-or-better: lower the bound when the path gets cheaper.
 """
 
 import sys
 
 from repro.core import MalacologyCluster
 from repro.workloads import LeaseContentionWorkload
+
+
+def _count_calls(run):
+    """Python ``call`` events while ``run()`` executes."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 #: Python calls per cached op, measured at 10.365 (513,990 calls for
 #: 49,590 ops).  A step through ``Process._wait_on``, the ``now``
@@ -27,21 +46,48 @@ def test_a_cached_sequencer_op_makes_at_most_10_37_python_calls():
     load.start()
     cluster.run(0.5)  # past the first grants
     ops_before = load.total_ops()
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        cluster.run(2.5)
-    finally:
-        sys.setprofile(None)
+    calls = _count_calls(lambda: cluster.run(2.5))
     load.stop()
     ops = load.total_ops() - ops_before
     assert ops > 40_000
     assert calls / ops <= MAX_CALLS_PER_OP, (
         f"{calls / ops:.3f} Python calls per cached op "
+        f"({calls} calls, {ops} ops)")
+
+
+#: Python calls per replicated RADOS op (half 4 KiB ``write_full``,
+#: half reads, size-2 pool), measured at 144.331 (577,323 calls for
+#: 4,000 ops).  Ranking the OSDs' sha256 scores on every ``acting_set``
+#: call, one heap entry per RPC deadline and up to three ``OSD.osdmap``
+#: reads per message took 174.689 (698,755).
+MAX_RADOS_CALLS_PER_OP = 144.34
+
+
+def test_a_replicated_rados_op_makes_at_most_144_34_python_calls():
+    cluster = MalacologyCluster.build(osds=3, mdss=0, seed=11,
+                                      pools={"rep": {"size": 2,
+                                                     "pg_num": 32}})
+    client = cluster.new_client("load")
+    oids = [f"o{i:03d}" for i in range(32)]
+    blob = b"x" * 4096
+
+    def prime():
+        for oid in oids:
+            yield from client.rados_write_full("rep", oid, blob)
+
+    def work(ops):
+        for i in range(ops):
+            oid = oids[i % len(oids)]
+            if i % 2:
+                got = yield from client.rados_read("rep", oid)
+                assert got == blob
+            else:
+                yield from client.rados_write_full("rep", oid, blob)
+
+    cluster.sim.run_until_complete(client.do(prime()))
+    ops = 4000
+    proc = client.do(work(ops))
+    calls = _count_calls(lambda: cluster.sim.run_until_complete(proc))
+    assert calls / ops <= MAX_RADOS_CALLS_PER_OP, (
+        f"{calls / ops:.3f} Python calls per RADOS op "
         f"({calls} calls, {ops} ops)")

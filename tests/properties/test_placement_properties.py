@@ -122,7 +122,7 @@ def test_down_osd_promotes_next_in_rank_only(osds, pgid):
     after = acting_set(make_map_marked_down(osds, {victim}), "p", pgid)
     assert victim not in after
     kept = [o for o in before if o != victim]
-    assert after[: len(kept)] == kept
+    assert list(after[: len(kept)]) == kept
     # A down OSD that was NOT in the set changes nothing.
     outsiders = [o for o in osds if o not in before]
     if outsiders:
@@ -134,4 +134,4 @@ def test_down_osd_promotes_next_in_rank_only(osds, pgid):
 def test_acting_set_empty_when_all_osds_down():
     osds = ["osd0", "osd1", "osd2"]
     m = make_map_marked_down(osds, set(osds))
-    assert acting_set(m, "p", 0) == []
+    assert acting_set(m, "p", 0) == ()

@@ -67,7 +67,7 @@ def test_monmap_quorum_sizes():
 def test_osdmap_membership_queries():
     m = OSDMap(epoch=3, osds={"osd0": "up", "osd1": "down"},
                pools={"p": {"size": 2, "pg_num": 8}})
-    assert m.up_osds() == ["osd0"]
+    assert m.up_osds() == ("osd0",)
     assert m.all_osds() == ["osd0", "osd1"]
     assert m.is_up("osd0") and not m.is_up("osd1")
     assert not m.is_up("ghost")

@@ -76,7 +76,7 @@ def test_map_update_bumps_epoch_once_per_txn():
             {"action": "set_osd_state", "name": "osd1", "state": "up"},
         ]}]))
     assert leader.store.osdmap.epoch == before + 1
-    assert leader.store.osdmap.up_osds() == ["osd0", "osd1"]
+    assert leader.store.osdmap.up_osds() == ("osd0", "osd1")
 
 
 def test_subscription_pushes_new_maps():

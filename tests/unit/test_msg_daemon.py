@@ -89,6 +89,19 @@ def test_late_reply_after_timeout_is_dropped():
         fut.result()  # settled by timeout; late reply must not re-settle
 
 
+def test_a_reply_or_a_crash_retires_the_call_deadline():
+    sim, net, server, client = make_pair()
+    fut = client.call("server", "echo", "hi", timeout=2.0)
+    assert sim.run_until_complete(fut) == "hi"
+    assert sim.pending() == 0  # the reply cancelled the deadline
+    pending = client.call("server", "slow", {"delay": 10.0, "value": "v"},
+                          timeout=2.0)
+    sim.run(until=sim.now + 0.5)
+    client.crash()
+    assert pending.failed
+    assert sim.pending() == 1  # the server's sleep; no deadline left
+
+
 def test_cast_is_one_way():
     sim, net, server, client = make_pair()
     client.cast("server", "note", "ping")

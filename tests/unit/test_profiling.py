@@ -173,6 +173,29 @@ def test_wall_plane_attributes_process_steps():
     assert wall.total_ns() > 0
 
 
+def test_wall_plane_keys_a_deadline_by_the_callback_it_fires():
+    sim = Simulator(seed=1)
+    prof = install_profiler(sim)
+    net = Network(sim, latency=FixedLatency(0.001))
+    client = Daemon(sim, net, "client")
+    Daemon(sim, net, "server").crash()  # every call to it expires
+    client.call("server", "ping", timeout=2.0)
+    client.call("server", "ping", timeout=2.0)
+    answered = sim.deadline(2.0, lambda: None)
+    assert sim.pending() == 5  # two sends, three deadlines
+    assert prof.status()["queue_depth"] == 5
+    sim.run()
+    answered.cancel()  # already fired: no effect
+    stats = sim.wall_profiler.stats()
+    assert stats["dispatch:callback:Daemon._expire"]["count"] == 2
+    lost = sim.deadline(1.0, lambda: None)
+    lost.cancel()  # the lane's head leaves; its heap entry wakes idle
+    sim.run()
+    stats = sim.wall_profiler.stats()
+    assert stats["dispatch:callback:cancelled deadline"]["count"] == 1
+    assert not any("DeadlineLane" in key for key in stats)
+
+
 def test_wall_hotspots_ranked_and_shared():
     sim = Simulator(seed=1)
     install_profiler(sim)

@@ -328,3 +328,83 @@ def test_dispatch_order_of_every_yield_kind_is_pinned():
         (1.0, "sleeper:ready=r"), (1.0, "sleeper:t0"),
         (1.0, "parent:sleeper=slept"), (1.0, "parent:again=slept"),
     ]
+
+
+# ----------------------------------------------------------------------
+# Ready FIFO and deadline lanes: the (time, insertion order) contract
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("first", ["deadline", "schedule"])
+def test_a_deadline_and_a_scheduled_call_at_one_time_keep_insertion_order(
+        first):
+    sim = Simulator()
+    seen = []
+    second = "schedule" if first == "deadline" else "deadline"
+
+    def add():
+        # 0.5 + 2.0 and 0.5 + 2.0: the same float time from both paths.
+        getattr(sim, first)(2.0, seen.append, first)
+        getattr(sim, second)(2.0, seen.append, second)
+
+    sim.schedule(0.5, add)
+    sim.run()
+    assert seen == [first, second]
+    assert sim.now == 2.5
+
+
+def test_a_cancelled_lane_head_lets_the_next_deadline_keep_its_slot():
+    sim = Simulator()
+    seen = []
+    head = sim.deadline(1.0, seen.append, "head")
+    sim.schedule(1.0, seen.append, "s1")
+    sim.deadline(1.0, seen.append, "live")
+    sim.schedule(1.0, seen.append, "s2")
+    head.cancel()
+    sim.run()
+    assert seen == ["s1", "live", "s2"]
+
+
+def test_a_positive_delay_that_rounds_to_now_runs_after_the_heap_at_now():
+    sim = Simulator()
+    seen = []
+    at = 2.0 ** 60  # 1.0 is below half the float spacing here
+    assert at + 1.0 == at
+
+    def first():
+        seen.append("first")
+        sim.schedule(1.0, seen.append, "rounded")
+        sim.deadline(1.0, seen.append, "rounded-deadline")
+
+    sim.schedule(at, first)
+    sim.schedule(at, seen.append, "second")
+    sim.run()
+    assert seen == ["first", "second", "rounded", "rounded-deadline"]
+
+
+def test_a_same_instant_wake_is_not_a_deadlock():
+    sim = Simulator()
+    fut = Future()
+
+    def body():
+        value = yield fut
+        return value
+
+    proc = sim.spawn(body())
+    # After this call the heap is empty: the only pending work is the
+    # process's wake in the ready FIFO.
+    sim.schedule(1.0, fut.resolve, "woken")
+    assert sim.run_until_complete(proc) == "woken"
+    assert sim.now == 1.0
+
+
+def test_pending_counts_every_structure_and_a_cancel_frees_the_lane():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    first = sim.deadline(5.0, lambda: None)
+    sim.deadline(5.0, lambda: None)
+    sim.schedule(0.0, lambda: None)
+    assert sim.pending() == 4
+    first.cancel()
+    assert sim.pending() == 3
+    sim.run()
+    assert sim.pending() == 0
+    assert sim.now == 5.0
