@@ -47,6 +47,10 @@ from repro.telemetry import (
 #: Re-exported alias: what an RPC caller catches on deadline expiry.
 RpcTimeout = TimeoutError_
 
+#: method -> its ``rpc.<method>`` latency tracker name, built once when
+#: a handler for the method is first registered, not once per request.
+_RPC_TRACKER: Dict[str, str] = {}
+
 
 class Daemon:
     """A network-visible process with registered RPC methods.
@@ -98,6 +102,7 @@ class Daemon:
         if method in self._handlers:
             raise ValueError(f"{self.name}: duplicate handler {method!r}")
         self._handlers[method] = fn
+        _RPC_TRACKER.setdefault(method, f"rpc.{method}")
 
     def register_admin_command(self, name: str,
                                fn: Callable[[Any], Any]) -> None:
@@ -343,7 +348,7 @@ class Daemon:
         san = self.sim.sanitizers
         if san is not None:
             san.wire.on_complete(env, daemon=self)
-        self.perf.time(f"rpc.{env.method}", self.sim.now - started)
+        self.perf.time(_RPC_TRACKER[env.method], self.sim.now - started)
         if error is not None:
             self.perf.incr(f"rpc.{env.method}.errors")
         if span is not None:

@@ -24,6 +24,8 @@ file, and attribute escapes are unavailable.
 
 from __future__ import annotations
 
+import functools
+from types import CodeType
 from typing import Any, Callable, Dict
 
 from repro import errors
@@ -101,9 +103,24 @@ def _exec_sandboxed(label: str, filename: str, run_failure: str,
     namespace.update(SANDBOX_ERRORS)
     namespace.update(extra_env)
     try:
-        code = compile(source, filename=filename, mode="exec")
+        code = _compiled(source, filename)
     except SyntaxError as exc:
         raise PolicyError(f"{label} failed to compile: {exc}") from exc
     with sandbox_guard(f"{label} {run_failure}"):
         exec(code, namespace)  # noqa: S102 - sandboxed namespace
     return namespace
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str, filename: str) -> CodeType:
+    """The code object of ``source``, compiled once per (source, file).
+
+    One interface version reaches every OSD with the same source, so
+    a cluster compiles it once, not once per daemon (``re`` caches its
+    patterns the same way).  Sharing is safe because a code object is
+    immutable: each install still ``exec``s it into a fresh namespace,
+    so every registry gets its own functions and module globals.  A
+    ``SyntaxError`` propagates and is not cached, so a broken source
+    fails on every install.
+    """
+    return compile(source, filename=filename, mode="exec")

@@ -91,6 +91,9 @@ class OSD(Daemon, MonitorClient):
         self._installed_versions: Dict[str, int] = {}
         self._install_rng = sim.rng(f"osd-install:{name}")
         self._gossip_rng = sim.rng(f"osd-gossip:{name}")
+        #: ``_peers`` memo: the map it was computed from and its answer.
+        self._peers_map: Optional[OSDMap] = None
+        self._peers_memo: Sequence[str] = ()
         self._reported_down: set = set()
         self._reasserting = False
         self._rebalance_retry_pending = False
@@ -247,8 +250,20 @@ class OSD(Daemon, MonitorClient):
     # ------------------------------------------------------------------
     # Gossip (paper section 4.4 / Figure 8)
     # ------------------------------------------------------------------
+    def _peers(self, m: OSDMap) -> Sequence[str]:
+        """The up OSDs of ``m`` other than this one, once per map.
+
+        Keyed by map identity: a published map is never edited (the
+        same invariant as ``OSDMap.up_osds``'s memo), so one answer
+        serves every gossip and ping until the next map arrives.
+        """
+        if m is not self._peers_map:
+            self._peers_map = m
+            self._peers_memo = [o for o in m.up_osds() if o != self.name]
+        return self._peers_memo
+
     def _gossip_map(self, m: OSDMap) -> None:
-        peers = [o for o in m.up_osds() if o != self.name]
+        peers = self._peers(m)
         if not peers:
             return
         fanout = min(self.GOSSIP_FANOUT, len(peers))
@@ -806,7 +821,7 @@ class OSD(Daemon, MonitorClient):
         m = self.osdmap
         if m is None:
             return None
-        peers = [o for o in m.up_osds() if o != self.name]
+        peers = self._peers(m)
         if not peers:
             return None
         target = self._gossip_rng.choice(peers)

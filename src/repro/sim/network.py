@@ -78,7 +78,18 @@ class LogNormalLatency(LatencyModel):
         self.cap = cap
 
     def sample(self, src: str, dst: str, rng: random.Random) -> float:
-        delay = rng.lognormvariate(self.mu, self.sigma)
+        # ``rng.lognormvariate(mu, sigma)`` inlined: CPython's
+        # Kinderman-Monahan normal deviate over ``rng.random``, then
+        # exp.  Same floats and RNG state, two frames fewer per message;
+        # the equivalence is pinned draw for draw by a unit test.
+        draw = rng.random
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = random.NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                break
+        delay = math.exp(self.mu + z * self.sigma)
         if self.cap is not None:
             delay = min(delay, self.cap)
         return delay
@@ -223,10 +234,11 @@ class Network:
         """Draw the one-way delay of one ``src`` -> ``dst`` message."""
         if src == dst:
             return 1e-6  # loopback: negligible but nonzero for causality
-        override = self._latency_overrides.get(
-            src, self._latency_overrides.get(dst))
-        if override is not None:
-            return override.sample(src, dst, self._override_rng)
+        overrides = self._latency_overrides
+        if overrides:
+            override = overrides.get(src, overrides.get(dst))
+            if override is not None:
+                return override.sample(src, dst, self._override_rng)
         return self.latency.sample(src, dst, self._rng)
 
     def send(self, src: str, dst: str, envelope: Any) -> None:

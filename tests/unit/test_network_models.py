@@ -50,6 +50,27 @@ def test_lognormal_latency_median_and_cap():
         LogNormalLatency(median=0.0)
 
 
+@pytest.mark.parametrize("cap", [None, 0.0015])
+@pytest.mark.parametrize("sigma", [0.0, 0.35, 1.5])
+def test_lognormal_sample_is_the_stdlib_draw(sigma, cap):
+    """``sample`` inlines ``Random.lognormvariate``: same floats, and
+    the generator left in the same state, draw for draw."""
+    model = LogNormalLatency(median=0.001, sigma=sigma, cap=cap)
+    capped = 0
+    for seed in range(20):
+        ours = Simulator(seed=seed).rng("net")
+        stdlib = Simulator(seed=seed).rng("net")
+        for _ in range(2000):
+            want = stdlib.lognormvariate(model.mu, sigma)
+            if cap is not None:
+                capped += want > cap
+                want = min(want, cap)
+            assert model.sample("a", "b", ours) == want
+        assert ours.getstate() == stdlib.getstate()
+    if cap is not None and sigma > 0:
+        assert capped, "the cap never applied"
+
+
 def test_lan_latency_profile_is_sane():
     model = lan_latency()
     r = rng()

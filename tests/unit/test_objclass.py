@@ -10,7 +10,9 @@ from repro.errors import (
     ReadOnly,
     StaleEpoch,
 )
+from repro.mantle import MantlePolicy
 from repro.objclass import ClassRegistry, MethodContext, compile_class_source
+from repro.objclass import loader
 from repro.objclass.bundled import BUNDLED_CLASSES, register_all
 from repro.rados.objects import StoredObject
 
@@ -121,6 +123,76 @@ METHODS = {"f": f}
     reg.register_bundled("escape", methods)
     with pytest.raises(PolicyError):
         reg.call("escape", "f", ctx_for(None), {})
+
+
+COUNTER_SOURCE = """
+COUNT = 0
+
+def bump(ctx, args):
+    global COUNT
+    COUNT += args.get("by", 1)
+    return {"count": COUNT}
+
+METHODS = {"bump": bump}
+"""
+
+
+def test_one_source_gives_each_registry_its_own_namespace():
+    a, b = ClassRegistry(), ClassRegistry()
+    a.install_dynamic("c", 1, COUNTER_SOURCE)
+    b.install_dynamic("c", 1, COUNTER_SOURCE)
+    assert a.call("c", "bump", ctx_for(None), {"by": 5}) == {"count": 5}
+    assert a.call("c", "bump", ctx_for(None), {}) == {"count": 6}
+    # Rebinding COUNT in a's module globals leaves b's untouched.
+    assert b.call("c", "bump", ctx_for(None), {}) == {"count": 1}
+    first = compile_class_source("c", COUNTER_SOURCE)
+    second = compile_class_source("c", COUNTER_SOURCE)
+    assert first is not second
+    assert first["bump"] is not second["bump"]
+    assert first["bump"].__globals__ is not second["bump"].__globals__
+    # What the installs share is the immutable code object.
+    assert first["bump"].__code__ is second["bump"].__code__
+
+
+def test_a_syntax_error_fails_every_install(monkeypatch):
+    compiled = []
+
+    def counting(source, *args, **kwargs):
+        compiled.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(loader, "compile", counting, raising=False)
+    broken = "def broken(:\n    return 'never cached'\n"
+    for reg in (ClassRegistry(), ClassRegistry()):
+        with pytest.raises(PolicyError, match="failed to compile"):
+            reg.install_dynamic("c", 1, broken)
+        assert not reg.has("c")
+    assert compiled == [broken, broken]
+
+
+def test_a_mantle_policy_keeps_only_state_across_decisions():
+    source = """
+seen = []
+
+def when():
+    seen.append(whoami)
+    state["ticks"] = state.get("ticks", 0) + 1
+    state["seen"] = len(seen)
+    return state["ticks"] == 2
+"""
+    policy = MantlePolicy("tick", source)
+    mds = [{"load": 1.0, "cpu": 0.0, "req_rate": 0.0, "inodes": 0}]
+    state = {}
+    # ``state`` is edited in place and persists; ``seen`` is module
+    # state, rebuilt fresh for every decision.
+    assert policy.decide(mds, 0, state) == (False, [0.0], None)
+    assert state == {"ticks": 1, "seen": 1}
+    assert policy.decide(mds, 0, state) == (True, [0.0], None)
+    assert state == {"ticks": 2, "seen": 1}
+
+
+def test_the_compile_cache_is_bounded():
+    assert loader._compiled.cache_info().maxsize == 256
 
 
 # ----------------------------------------------------------------------
